@@ -144,6 +144,10 @@ pub trait Collector: fmt::Debug {
 
     /// Extra mutator cost imposed by collector barriers, in permille of each
     /// operation's base cost (C4's read/write barriers).
+    ///
+    /// The value is fixed for the collector's lifetime: a runtime may read
+    /// it once, when it is built, and charge every later operation with
+    /// that value.
     fn mutator_overhead_permille(&self) -> u32 {
         0
     }

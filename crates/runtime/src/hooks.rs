@@ -15,6 +15,7 @@ use polm2_gc::ThreadId;
 use polm2_heap::{Heap, ObjectId};
 use polm2_metrics::SimTime;
 
+use crate::loader::HookNames;
 use crate::RuntimeError;
 
 /// Everything a hook may touch.
@@ -65,9 +66,7 @@ pub struct HookAction {
     pub cost: Option<polm2_metrics::SimDuration>,
 }
 
-type ActionFn = Box<dyn FnMut(&mut HookCtx<'_>) -> HookAction>;
-type CondFn = Box<dyn FnMut(&mut HookCtx<'_>) -> bool>;
-type ValueFn = Box<dyn FnMut(&mut HookCtx<'_>) -> u32>;
+type HookFn<R> = Box<dyn FnMut(&mut HookCtx<'_>) -> R>;
 
 /// Registry of named hooks, by kind.
 ///
@@ -76,16 +75,20 @@ type ValueFn = Box<dyn FnMut(&mut HookCtx<'_>) -> u32>;
 /// * **size** hooks compute [`SizeSpec::Hook`] allocation sizes;
 /// * **count** hooks compute [`CountSpec::Hook`] trip counts.
 ///
+/// Names are looked up once, when a [`JvmBuilder`](crate::JvmBuilder)
+/// builds: it binds each hook name the loaded program uses to an index, and
+/// the interpreter calls hooks by index from then on.
+///
 /// [`Instr::Native`]: crate::Instr::Native
 /// [`Instr::Branch`]: crate::Instr::Branch
 /// [`SizeSpec::Hook`]: crate::SizeSpec::Hook
 /// [`CountSpec::Hook`]: crate::CountSpec::Hook
 #[derive(Default)]
 pub struct HookRegistry {
-    actions: HashMap<String, ActionFn>,
-    conds: HashMap<String, CondFn>,
-    sizes: HashMap<String, ValueFn>,
-    counts: HashMap<String, ValueFn>,
+    actions: HashMap<String, HookFn<HookAction>>,
+    conds: HashMap<String, HookFn<bool>>,
+    sizes: HashMap<String, HookFn<u32>>,
+    counts: HashMap<String, HookFn<u32>>,
 }
 
 impl fmt::Debug for HookRegistry {
@@ -116,7 +119,7 @@ impl HookRegistry {
         self.actions.insert(name.into(), Box::new(hook));
     }
 
-    /// Registers a condition hook.
+    /// Registers a condition hook (replaces any previous one of that name).
     pub fn register_cond(
         &mut self,
         name: impl Into<String>,
@@ -125,7 +128,7 @@ impl HookRegistry {
         self.conds.insert(name.into(), Box::new(hook));
     }
 
-    /// Registers a size hook.
+    /// Registers a size hook (replaces any previous one of that name).
     pub fn register_size(
         &mut self,
         name: impl Into<String>,
@@ -134,7 +137,7 @@ impl HookRegistry {
         self.sizes.insert(name.into(), Box::new(hook));
     }
 
-    /// Registers a count hook.
+    /// Registers a count hook (replaces any previous one of that name).
     pub fn register_count(
         &mut self,
         name: impl Into<String>,
@@ -143,65 +146,52 @@ impl HookRegistry {
         self.counts.insert(name.into(), Box::new(hook));
     }
 
-    /// Runs an action hook.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownHook`] if no action hook has that name.
-    pub fn run_action(
-        &mut self,
-        name: &str,
-        ctx: &mut HookCtx<'_>,
-    ) -> Result<HookAction, RuntimeError> {
-        match self.actions.get_mut(name) {
-            Some(h) => Ok(h(ctx)),
-            None => Err(RuntimeError::UnknownHook {
-                hook: name.to_string(),
-            }),
+    /// Binds the hooks `names` uses into index-addressed tables; hooks the
+    /// program never names are dropped.
+    pub(crate) fn bind(mut self, names: &HookNames) -> BoundHooks {
+        BoundHooks {
+            actions: HookTable::bind(&mut self.actions, &names.actions),
+            conds: HookTable::bind(&mut self.conds, &names.conds),
+            sizes: HookTable::bind(&mut self.sizes, &names.sizes),
+            counts: HookTable::bind(&mut self.counts, &names.counts),
         }
+    }
+}
+
+/// The hooks of one kind, indexed by the loader's hook ids. An id nobody
+/// registered keeps its name, for the error raised if it ever runs.
+pub(crate) struct HookTable<R>(Vec<Result<HookFn<R>, String>>);
+
+impl<R> HookTable<R> {
+    fn bind(registered: &mut HashMap<String, HookFn<R>>, names: &[String]) -> Self {
+        HookTable(
+            names
+                .iter()
+                .map(|name| registered.remove(name).ok_or_else(|| name.clone()))
+                .collect(),
+        )
     }
 
-    /// Evaluates a condition hook.
+    /// Runs hook `id`.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnknownHook`] if no cond hook has that name.
-    pub fn eval_cond(&mut self, name: &str, ctx: &mut HookCtx<'_>) -> Result<bool, RuntimeError> {
-        match self.conds.get_mut(name) {
-            Some(h) => Ok(h(ctx)),
-            None => Err(RuntimeError::UnknownHook {
-                hook: name.to_string(),
-            }),
+    /// [`RuntimeError::UnknownHook`] if no hook of this kind was registered
+    /// under the id's name.
+    pub(crate) fn call(&mut self, id: u16, ctx: &mut HookCtx<'_>) -> Result<R, RuntimeError> {
+        match &mut self.0[id as usize] {
+            Ok(hook) => Ok(hook(ctx)),
+            Err(name) => Err(RuntimeError::UnknownHook { hook: name.clone() }),
         }
     }
+}
 
-    /// Evaluates a size hook.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownHook`] if no size hook has that name.
-    pub fn eval_size(&mut self, name: &str, ctx: &mut HookCtx<'_>) -> Result<u32, RuntimeError> {
-        match self.sizes.get_mut(name) {
-            Some(h) => Ok(h(ctx)),
-            None => Err(RuntimeError::UnknownHook {
-                hook: name.to_string(),
-            }),
-        }
-    }
-
-    /// Evaluates a count hook.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnknownHook`] if no count hook has that name.
-    pub fn eval_count(&mut self, name: &str, ctx: &mut HookCtx<'_>) -> Result<u32, RuntimeError> {
-        match self.counts.get_mut(name) {
-            Some(h) => Ok(h(ctx)),
-            None => Err(RuntimeError::UnknownHook {
-                hook: name.to_string(),
-            }),
-        }
-    }
+/// A [`HookRegistry`] bound to one loaded program.
+pub(crate) struct BoundHooks {
+    pub(crate) actions: HookTable<HookAction>,
+    pub(crate) conds: HookTable<bool>,
+    pub(crate) sizes: HookTable<u32>,
+    pub(crate) counts: HookTable<u32>,
 }
 
 #[cfg(test)]
@@ -209,13 +199,45 @@ mod tests {
     use super::*;
     use polm2_heap::HeapConfig;
 
-    fn ctx_parts() -> (Heap, Option<ObjectId>, u32) {
-        (Heap::new(HeapConfig::small()), None, 7)
+    /// What a hook context borrows; the workload state is a `u32` at 7.
+    struct Parts {
+        heap: Heap,
+        acc: Option<ObjectId>,
+        state: u32,
+    }
+
+    impl Parts {
+        fn new() -> Self {
+            Parts {
+                heap: Heap::new(HeapConfig::small()),
+                acc: None,
+                state: 7,
+            }
+        }
+
+        fn ctx(&mut self) -> HookCtx<'_> {
+            HookCtx {
+                heap: &mut self.heap,
+                thread: ThreadId::new(0),
+                acc: &mut self.acc,
+                raw_state: &mut self.state,
+                now: SimTime::ZERO,
+            }
+        }
+    }
+
+    fn names(actions: &[&str], conds: &[&str], sizes: &[&str], counts: &[&str]) -> HookNames {
+        let owned = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
+        HookNames {
+            actions: owned(actions),
+            conds: owned(conds),
+            sizes: owned(sizes),
+            counts: owned(counts),
+        }
     }
 
     #[test]
-    fn hooks_round_trip_through_registry() {
-        let (mut heap, mut acc, mut state) = ctx_parts();
+    fn hooks_round_trip_through_the_bound_table() {
         let mut reg = HookRegistry::new();
         reg.register_action("bump", |ctx| {
             *ctx.state::<u32>() += 1;
@@ -224,50 +246,76 @@ mod tests {
         reg.register_cond("is_big", |ctx| *ctx.state::<u32>() > 5);
         reg.register_size("sz", |ctx| *ctx.state::<u32>() * 2);
         reg.register_count("n", |_| 3);
+        let mut bound = reg.bind(&names(&["bump"], &["is_big"], &["sz"], &["n"]));
 
-        let mut ctx = HookCtx {
-            heap: &mut heap,
-            thread: ThreadId::new(0),
-            acc: &mut acc,
-            raw_state: &mut state,
-            now: SimTime::ZERO,
-        };
-        reg.run_action("bump", &mut ctx).unwrap();
-        assert!(reg.eval_cond("is_big", &mut ctx).unwrap());
-        assert_eq!(reg.eval_size("sz", &mut ctx).unwrap(), 16);
-        assert_eq!(reg.eval_count("n", &mut ctx).unwrap(), 3);
-        assert_eq!(state, 8);
+        let mut parts = Parts::new();
+        let mut ctx = parts.ctx();
+        bound.actions.call(0, &mut ctx).unwrap();
+        assert!(bound.conds.call(0, &mut ctx).unwrap());
+        assert_eq!(bound.sizes.call(0, &mut ctx).unwrap(), 16);
+        assert_eq!(bound.counts.call(0, &mut ctx).unwrap(), 3);
+        assert_eq!(parts.state, 8);
     }
 
     #[test]
-    fn unknown_hooks_error() {
-        let (mut heap, mut acc, mut state) = ctx_parts();
+    fn unbound_ids_error_with_their_name() {
         let mut reg = HookRegistry::new();
-        let mut ctx = HookCtx {
-            heap: &mut heap,
-            thread: ThreadId::new(0),
-            acc: &mut acc,
-            raw_state: &mut state,
-            now: SimTime::ZERO,
-        };
-        assert!(matches!(
-            reg.run_action("missing", &mut ctx),
-            Err(RuntimeError::UnknownHook { .. })
-        ));
-        assert!(reg.eval_cond("missing", &mut ctx).is_err());
-        assert!(reg.eval_size("missing", &mut ctx).is_err());
-        assert!(reg.eval_count("missing", &mut ctx).is_err());
+        // Registered, but as the wrong kind: binding is per kind.
+        reg.register_cond("missing", |_| true);
+        let mut bound = reg.bind(&names(&["missing"], &["c"], &["s"], &["n"]));
+        let mut parts = Parts::new();
+        let mut ctx = parts.ctx();
+        assert_eq!(
+            bound.actions.call(0, &mut ctx).unwrap_err(),
+            RuntimeError::UnknownHook {
+                hook: "missing".into()
+            }
+        );
+        assert!(bound.conds.call(0, &mut ctx).is_err());
+        assert!(bound.sizes.call(0, &mut ctx).is_err());
+        assert!(bound.counts.call(0, &mut ctx).is_err());
+    }
+
+    #[test]
+    fn ids_follow_the_name_table_not_registration_order() {
+        let mut reg = HookRegistry::new();
+        reg.register_size("a", |_| 1);
+        reg.register_size("b", |_| 2);
+        let mut bound = reg.bind(&names(&[], &[], &["b", "a"], &[]));
+        let mut parts = Parts::new();
+        assert_eq!(bound.sizes.call(0, &mut parts.ctx()).unwrap(), 2);
+        assert_eq!(bound.sizes.call(1, &mut parts.ctx()).unwrap(), 1);
+    }
+
+    #[test]
+    fn re_registering_a_name_replaces_the_hook() {
+        let mut reg = HookRegistry::new();
+        reg.register_action("bump", |ctx| {
+            *ctx.state::<u32>() += 1;
+            HookAction::default()
+        });
+        reg.register_action("bump", |ctx| {
+            *ctx.state::<u32>() += 100;
+            HookAction::default()
+        });
+        reg.register_count("n", |_| 1);
+        reg.register_count("n", |_| 2);
+        let mut bound = reg.bind(&names(&["bump"], &[], &[], &["n"]));
+        let mut parts = Parts::new();
+        bound.actions.call(0, &mut parts.ctx()).unwrap();
+        assert_eq!(bound.counts.call(0, &mut parts.ctx()).unwrap(), 2);
+        assert_eq!(parts.state, 107, "only the later registration runs");
     }
 
     #[test]
     fn hooks_can_manipulate_the_heap_and_acc() {
-        let (mut heap, mut acc, mut state) = ctx_parts();
-        let class = heap.classes_mut().intern("T");
-        let obj = heap
+        let mut parts = Parts::new();
+        let class = parts.heap.classes_mut().intern("T");
+        let obj = parts
+            .heap
             .allocate(class, 64, polm2_heap::SiteId::new(0), Heap::YOUNG_SPACE)
             .unwrap();
-        let _ = acc;
-        acc = Some(obj);
+        parts.acc = Some(obj);
         let mut reg = HookRegistry::new();
         reg.register_action("park", |ctx| {
             let obj = ctx.acc.expect("acc set");
@@ -276,29 +324,16 @@ mod tests {
             *ctx.acc = None;
             HookAction::default()
         });
-        let mut ctx = HookCtx {
-            heap: &mut heap,
-            thread: ThreadId::new(0),
-            acc: &mut acc,
-            raw_state: &mut state,
-            now: SimTime::ZERO,
-        };
-        reg.run_action("park", &mut ctx).unwrap();
-        assert!(acc.is_none());
-        assert_eq!(heap.roots().root_count(), 1);
+        let mut bound = reg.bind(&names(&["park"], &[], &[], &[]));
+        bound.actions.call(0, &mut parts.ctx()).unwrap();
+        assert!(parts.acc.is_none());
+        assert_eq!(parts.heap.roots().root_count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "unexpected type")]
     fn wrong_state_type_panics() {
-        let (mut heap, mut acc, mut state) = ctx_parts();
-        let mut ctx = HookCtx {
-            heap: &mut heap,
-            thread: ThreadId::new(0),
-            acc: &mut acc,
-            raw_state: &mut state,
-            now: SimTime::ZERO,
-        };
-        let _: &mut String = ctx.state::<String>();
+        let mut parts = Parts::new();
+        let _: &mut String = parts.ctx().state::<String>();
     }
 }

@@ -7,9 +7,9 @@ use polm2_heap::ObjectId;
 
 use crate::config::RecorderPath;
 use crate::events::AllocEvent;
-use crate::hooks::HookCtx;
+use crate::hooks::{BoundHooks, HookCtx};
 use crate::loader::{RCount, RInstr, RSize};
-use crate::thread::Frame;
+use crate::thread::{Frame, MutatorThread};
 use crate::{Jvm, RuntimeError};
 
 impl Jvm {
@@ -34,8 +34,12 @@ impl Jvm {
         Ok(())
     }
 
+    fn thread_mut(&mut self, thread: ThreadId) -> &mut MutatorThread {
+        &mut self.threads[thread.raw() as usize]
+    }
+
     fn frame_mut(&mut self, thread: ThreadId) -> &mut Frame {
-        self.threads[thread.raw() as usize]
+        self.thread_mut(thread)
             .frames
             .last_mut()
             .expect("instruction executing without an active frame")
@@ -53,7 +57,7 @@ impl Jvm {
                 limit: self.config.max_stack_depth,
             });
         }
-        if self.config.recorder == RecorderPath::TraceTrie {
+        if self.tracks_context {
             // The caller's line is already the call line here; freeze it as
             // one more edge of the thread's context path. The root
             // invocation has no caller, so its context stays the root.
@@ -63,7 +67,7 @@ impl Jvm {
                     .child(t.context_node, caller.as_trace_frame());
             }
         }
-        t.frames.push(Frame::new(class_idx, method_idx));
+        t.push_frame(class_idx, method_idx);
 
         let program = Rc::clone(&self.program);
         let body = &program.class_by_idx(class_idx).methods[method_idx as usize].body;
@@ -71,14 +75,15 @@ impl Jvm {
 
         let t = &mut self.threads[thread.raw() as usize];
         let frame = t.frames.pop().expect("frame pushed above");
-        if self.config.recorder == RecorderPath::TraceTrie {
+        if self.tracks_context {
             // Drop the caller edge added above (the root is its own parent,
             // covering the root-invocation pop).
             t.context_node = self.trace_trie.parent(t.context_node);
         }
+        t.roots.truncate(frame.roots_base);
         // A method that set target generations without restoring them gets
         // them unwound here, like NG2C's thread state on frame exit.
-        for gen in frame.saved_gens.into_iter().rev() {
+        for gen in t.saved_gens.drain(frame.gens_base..).rev() {
             let _ = self.collector.set_target_gen(thread, gen);
         }
         result?;
@@ -106,8 +111,8 @@ impl Jvm {
                 self.frame_mut(thread).line = *line;
                 let size = match size {
                     RSize::Fixed(n) => *n,
-                    RSize::Hook(name) => {
-                        self.with_hook_ctx(thread, |hooks, ctx| hooks.eval_size(name, ctx))?
+                    RSize::Hook(id) => {
+                        self.with_hook_ctx(thread, |hooks, ctx| hooks.sizes.call(*id, ctx))?
                     }
                 };
                 let mut roots = std::mem::take(&mut self.safepoint_scratch);
@@ -130,10 +135,9 @@ impl Jvm {
                 let collected = !outcome.pauses.is_empty();
                 self.log_pauses(outcome.pauses);
                 self.verify_at_safepoint(collected)?;
-                let frame = self.frame_mut(thread);
-                frame.acc = Some(outcome.object);
-                frame.roots.push(outcome.object);
-                frame.last_site = Some(*site);
+                let t = self.thread_mut(thread);
+                t.hold(outcome.object);
+                t.frames.last_mut().expect("allocating frame").last_site = Some(*site);
             }
             RInstr::Call {
                 class_idx,
@@ -141,11 +145,8 @@ impl Jvm {
                 line,
             } => {
                 self.frame_mut(thread).line = *line;
-                let result = self.call_method(thread, *class_idx, *method_idx)?;
-                if let Some(obj) = result {
-                    let frame = self.frame_mut(thread);
-                    frame.acc = Some(obj);
-                    frame.roots.push(obj);
+                if let Some(obj) = self.call_method(thread, *class_idx, *method_idx)? {
+                    self.thread_mut(thread).hold(obj);
                 }
             }
             RInstr::Branch {
@@ -155,7 +156,8 @@ impl Jvm {
                 line,
             } => {
                 self.frame_mut(thread).line = *line;
-                let taken = self.with_hook_ctx(thread, |hooks, ctx| hooks.eval_cond(cond, ctx))?;
+                let taken =
+                    self.with_hook_ctx(thread, |hooks, ctx| hooks.conds.call(*cond, ctx))?;
                 if taken {
                     self.exec_block(thread, then_block)?;
                 } else {
@@ -166,22 +168,22 @@ impl Jvm {
                 self.frame_mut(thread).line = *line;
                 let n = match count {
                     RCount::Fixed(n) => *n,
-                    RCount::Hook(name) => {
-                        self.with_hook_ctx(thread, |hooks, ctx| hooks.eval_count(name, ctx))?
+                    RCount::Hook(id) => {
+                        self.with_hook_ctx(thread, |hooks, ctx| hooks.counts.call(*id, ctx))?
                     }
                 };
+                // Loop-body locals die each iteration, like Java locals
+                // whose scope ends with the loop body.
+                let mark = self.thread_mut(thread).roots.len();
                 for _ in 0..n {
-                    // Loop-body locals die each iteration, like Java locals
-                    // whose scope ends with the loop body.
-                    let mark = self.frame_mut(thread).roots.len();
                     self.exec_block(thread, body)?;
-                    self.frame_mut(thread).roots.truncate(mark);
+                    self.thread_mut(thread).roots.truncate(mark);
                 }
             }
             RInstr::Native { hook, line } => {
                 self.frame_mut(thread).line = *line;
                 let action =
-                    self.with_hook_ctx(thread, |hooks, ctx| hooks.run_action(hook, ctx))?;
+                    self.with_hook_ctx(thread, |hooks, ctx| hooks.actions.call(*hook, ctx))?;
                 if let Some(cost) = action.cost {
                     self.advance_mutator(cost);
                 }
@@ -189,19 +191,21 @@ impl Jvm {
             RInstr::SetGen { gen, line } => {
                 self.frame_mut(thread).line = *line;
                 let prev = self.collector.set_target_gen(thread, *gen)?;
-                self.frame_mut(thread).saved_gens.push(prev);
+                self.thread_mut(thread).saved_gens.push(prev);
             }
             RInstr::RestoreGen { line } => {
                 self.frame_mut(thread).line = *line;
-                let prev = self
-                    .frame_mut(thread)
-                    .saved_gens
-                    .pop()
-                    .ok_or(RuntimeError::UnbalancedRestoreGen)?;
+                // Only generations this frame saved may be restored; the
+                // caller's stay on the stack for the caller.
+                let t = self.thread_mut(thread);
+                let base = t.frames.last().expect("restoring frame").gens_base;
+                if t.saved_gens.len() == base {
+                    return Err(RuntimeError::UnbalancedRestoreGen);
+                }
+                let prev = t.saved_gens.pop().expect("checked above");
                 self.collector.set_target_gen(thread, prev)?;
             }
-            RInstr::RecordAlloc { line } => {
-                let _ = line; // recording is invisible to the line tracker
+            RInstr::RecordAlloc => {
                 let (object, site) = {
                     let frame = self.frame_mut(thread);
                     match (frame.acc, frame.last_site) {
@@ -250,7 +254,7 @@ impl Jvm {
     fn with_hook_ctx<R>(
         &mut self,
         thread: ThreadId,
-        f: impl FnOnce(&mut crate::HookRegistry, &mut HookCtx<'_>) -> R,
+        f: impl FnOnce(&mut BoundHooks, &mut HookCtx<'_>) -> R,
     ) -> R {
         let heap = &mut self.heap;
         let hooks = &mut self.hooks;

@@ -10,6 +10,7 @@ use polm2_metrics::{SimDuration, SimTime};
 
 use crate::config::RecorderPath;
 use crate::events::{AllocEvent, AllocEventBuffer};
+use crate::hooks::BoundHooks;
 use crate::ir::Program;
 use crate::loader::{ClassTransformer, LoadedProgram, Loader};
 use crate::thread::MutatorThread;
@@ -79,12 +80,20 @@ impl JvmBuilder {
             .map(|b| b.as_mut() as &mut dyn ClassTransformer)
             .collect();
         let loaded = Loader::load(program, &mut refs, &mut heap)?;
+        let hooks = self.hooks.bind(loaded.hook_names());
+        // Allocation contexts are only read by `RecordAlloc`, which the
+        // Recorder agent inserts; without one the trie is never consulted.
+        let tracks_context =
+            self.config.recorder == RecorderPath::TraceTrie && loaded.records_allocs();
+        let barrier_permille = u64::from(self.collector.mutator_overhead_permille());
         Ok(Jvm {
             config: self.config,
             heap,
             collector: self.collector,
             program: Rc::new(loaded),
-            hooks: self.hooks,
+            hooks,
+            tracks_context,
+            barrier_permille,
             state: self.state,
             clock: SimClock::new(),
             gc_log: GcLog::new(),
@@ -104,7 +113,12 @@ pub struct Jvm {
     pub(crate) heap: Heap,
     pub(crate) collector: Box<dyn Collector>,
     pub(crate) program: Rc<LoadedProgram>,
-    pub(crate) hooks: HookRegistry,
+    pub(crate) hooks: BoundHooks,
+    /// True if calls maintain each thread's trie context: the trie
+    /// recorder path on a program that records allocations.
+    pub(crate) tracks_context: bool,
+    /// The collector's barrier tax, fixed for its lifetime.
+    pub(crate) barrier_permille: u64,
     pub(crate) state: Box<dyn Any>,
     pub(crate) clock: SimClock,
     pub(crate) gc_log: GcLog,
@@ -220,7 +234,9 @@ impl Jvm {
         self.config.recorder
     }
 
-    /// The shared trace trie (read access; the interpreter maintains it).
+    /// The shared trace trie (read access; the interpreter maintains it
+    /// while the program records allocations on the trie recorder path, and
+    /// leaves it at its root otherwise).
     pub fn trace_trie(&self) -> &TraceTrie {
         &self.trace_trie
     }
@@ -282,8 +298,7 @@ impl Jvm {
     /// Advances the clock by mutator "think time" (per-operation work beyond
     /// interpretation), applying the collector's barrier tax.
     pub fn advance_mutator(&mut self, d: SimDuration) {
-        let permille = u64::from(self.collector.mutator_overhead_permille());
-        let us = d.as_micros() * (1_000 + permille) / 1_000;
+        let us = d.as_micros() * (1_000 + self.barrier_permille) / 1_000;
         self.clock.advance(SimDuration::from_micros(us));
     }
 
@@ -348,8 +363,7 @@ impl Jvm {
     /// Charges interpreted-instruction cost to the clock, with the barrier
     /// tax, accumulating sub-microsecond amounts.
     pub(crate) fn charge_ns(&mut self, ns: u64) {
-        let permille = u64::from(self.collector.mutator_overhead_permille());
-        self.ns_debt += ns * (1_000 + permille) / 1_000;
+        self.ns_debt += ns * (1_000 + self.barrier_permille) / 1_000;
         if self.ns_debt >= 1_000 {
             let us = self.ns_debt / 1_000;
             self.ns_debt %= 1_000;

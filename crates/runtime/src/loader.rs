@@ -97,7 +97,7 @@ pub(crate) enum RInstr {
         line: u32,
     },
     Branch {
-        cond: String,
+        cond: u16,
         then_block: Vec<RInstr>,
         else_block: Vec<RInstr>,
         line: u32,
@@ -108,7 +108,7 @@ pub(crate) enum RInstr {
         line: u32,
     },
     Native {
-        hook: String,
+        hook: u16,
         line: u32,
     },
     SetGen {
@@ -118,21 +118,43 @@ pub(crate) enum RInstr {
     RestoreGen {
         line: u32,
     },
-    RecordAlloc {
-        line: u32,
-    },
+    RecordAlloc,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) enum RSize {
     Fixed(u32),
-    Hook(String),
+    Hook(u16),
 }
 
 #[derive(Debug, Clone)]
 pub(crate) enum RCount {
     Fixed(u32),
-    Hook(String),
+    Hook(u16),
+}
+
+/// The hook names a program uses, one table per [`HookRegistry`] kind. A
+/// resolved instruction carries its hook's index into the matching table.
+///
+/// [`HookRegistry`]: crate::HookRegistry
+#[derive(Debug, Default)]
+pub(crate) struct HookNames {
+    pub(crate) actions: Vec<String>,
+    pub(crate) conds: Vec<String>,
+    pub(crate) sizes: Vec<String>,
+    pub(crate) counts: Vec<String>,
+}
+
+/// The index of `name` in `names`, appending it on first use.
+fn intern_hook(names: &mut Vec<String>, name: &str) -> u16 {
+    let idx = match names.iter().position(|n| n == name) {
+        Some(idx) => idx,
+        None => {
+            names.push(name.to_string());
+            names.len() - 1
+        }
+    };
+    u16::try_from(idx).expect("at most 65536 hook names per kind")
 }
 
 #[derive(Debug)]
@@ -152,8 +174,9 @@ pub(crate) struct LoadedClass {
 pub struct LoadedProgram {
     classes: Vec<LoadedClass>,
     by_name: HashMap<String, u16>,
-    method_index: HashMap<(u16, String), u16>,
     sites: SiteTable,
+    hook_names: HookNames,
+    records_allocs: bool,
 }
 
 impl LoadedProgram {
@@ -169,19 +192,30 @@ impl LoadedProgram {
             .ok_or_else(|| RuntimeError::UnknownClass {
                 class: class.to_string(),
             })?;
-        let mi = *self
-            .method_index
-            .get(&(ci, method.to_string()))
+        let mi = self.classes[ci as usize]
+            .methods
+            .iter()
+            .position(|m| m.name == method)
             .ok_or_else(|| RuntimeError::UnknownMethod {
                 class: class.to_string(),
                 method: method.to_string(),
             })?;
-        Ok((ci, mi))
+        Ok((ci, mi as u16))
     }
 
     /// The allocation-site table.
     pub fn sites(&self) -> &SiteTable {
         &self.sites
+    }
+
+    /// True if any method contains a `RecordAlloc` — i.e. the Recorder agent
+    /// instrumented this program, so its allocation contexts are read.
+    pub fn records_allocs(&self) -> bool {
+        self.records_allocs
+    }
+
+    pub(crate) fn hook_names(&self) -> &HookNames {
+        &self.hook_names
     }
 
     /// Resolves a compact trace frame to a human-readable location.
@@ -235,6 +269,10 @@ impl Loader {
     /// to every class first (in order), exactly as stacked Java agents see
     /// classes at load time.
     ///
+    /// Hook names are interned per kind, not looked up: an instruction
+    /// naming a hook nobody registers loads fine and fails with
+    /// [`RuntimeError::UnknownHook`] only if it executes.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::UnknownClass`] / [`RuntimeError::UnknownMethod`] if a
@@ -250,31 +288,25 @@ impl Loader {
             }
         }
 
-        let mut by_name = HashMap::new();
-        for (i, class) in program.classes().iter().enumerate() {
-            by_name.insert(class.name.clone(), i as u16);
-        }
-        let mut method_index = HashMap::new();
-        for (ci, class) in program.classes().iter().enumerate() {
-            for (mi, method) in class.methods.iter().enumerate() {
-                method_index.insert((ci as u16, method.name.clone()), mi as u16);
-            }
-        }
-
-        let mut sites = SiteTable::default();
+        let by_name: HashMap<String, u16> = program
+            .classes()
+            .iter()
+            .enumerate()
+            .map(|(i, class)| (class.name.clone(), i as u16))
+            .collect();
+        let mut resolver = Resolver {
+            program: &program,
+            by_name: &by_name,
+            heap,
+            sites: SiteTable::default(),
+            hook_names: HookNames::default(),
+            records_allocs: false,
+        };
         let mut classes = Vec::with_capacity(program.classes().len());
         for class in program.classes() {
             let mut methods = Vec::with_capacity(class.methods.len());
             for method in &class.methods {
-                let body = Self::resolve_block(
-                    &method.body,
-                    &class.name,
-                    &method.name,
-                    &by_name,
-                    &method_index,
-                    &mut sites,
-                    heap,
-                )?;
+                let body = resolver.block(&method.body, &class.name, &method.name)?;
                 methods.push(LoadedMethod {
                     name: method.name.clone(),
                     body,
@@ -286,23 +318,38 @@ impl Loader {
             });
         }
 
+        let Resolver {
+            sites,
+            hook_names,
+            records_allocs,
+            ..
+        } = resolver;
         Ok(LoadedProgram {
             classes,
             by_name,
-            method_index,
             sites,
+            hook_names,
+            records_allocs,
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_block(
+/// Load-time resolution state: turns [`Instr`] trees into [`RInstr`] trees.
+struct Resolver<'a> {
+    program: &'a Program,
+    by_name: &'a HashMap<String, u16>,
+    heap: &'a mut Heap,
+    sites: SiteTable,
+    hook_names: HookNames,
+    records_allocs: bool,
+}
+
+impl Resolver<'_> {
+    fn block(
+        &mut self,
         block: &[Instr],
         class_name: &str,
         method_name: &str,
-        by_name: &HashMap<String, u16>,
-        method_index: &HashMap<(u16, String), u16>,
-        sites: &mut SiteTable,
-        heap: &mut Heap,
     ) -> Result<Vec<RInstr>, RuntimeError> {
         let mut out = Vec::with_capacity(block.len());
         for instr in block {
@@ -313,14 +360,17 @@ impl Loader {
                     line,
                     pretenure,
                 } => {
-                    let class = heap.classes_mut().intern(alloc_class);
-                    let site =
-                        sites.intern(alloc_class, CodeLoc::new(class_name, method_name, *line));
+                    let class = self.heap.classes_mut().intern(alloc_class);
+                    let site = self
+                        .sites
+                        .intern(alloc_class, CodeLoc::new(class_name, method_name, *line));
                     RInstr::Alloc {
                         class,
                         size: match size {
                             SizeSpec::Fixed(n) => RSize::Fixed(*n),
-                            SizeSpec::Hook(h) => RSize::Hook(h.clone()),
+                            SizeSpec::Hook(h) => {
+                                RSize::Hook(intern_hook(&mut self.hook_names.sizes, h))
+                            }
                         },
                         site,
                         pretenure: *pretenure,
@@ -332,20 +382,24 @@ impl Loader {
                     method,
                     line,
                 } => {
-                    let ci = *by_name
-                        .get(class)
-                        .ok_or_else(|| RuntimeError::UnknownClass {
-                            class: class.clone(),
-                        })?;
-                    let mi = *method_index.get(&(ci, method.clone())).ok_or_else(|| {
-                        RuntimeError::UnknownMethod {
+                    let ci =
+                        *self
+                            .by_name
+                            .get(class)
+                            .ok_or_else(|| RuntimeError::UnknownClass {
+                                class: class.clone(),
+                            })?;
+                    let mi = self.program.classes()[ci as usize]
+                        .methods
+                        .iter()
+                        .position(|m| m.name == *method)
+                        .ok_or_else(|| RuntimeError::UnknownMethod {
                             class: class.clone(),
                             method: method.clone(),
-                        }
-                    })?;
+                        })?;
                     RInstr::Call {
                         class_idx: ci,
-                        method_idx: mi,
+                        method_idx: mi as u16,
                         line: *line,
                     }
                 }
@@ -355,45 +409,23 @@ impl Loader {
                     else_block,
                     line,
                 } => RInstr::Branch {
-                    cond: cond.clone(),
-                    then_block: Self::resolve_block(
-                        then_block,
-                        class_name,
-                        method_name,
-                        by_name,
-                        method_index,
-                        sites,
-                        heap,
-                    )?,
-                    else_block: Self::resolve_block(
-                        else_block,
-                        class_name,
-                        method_name,
-                        by_name,
-                        method_index,
-                        sites,
-                        heap,
-                    )?,
+                    cond: intern_hook(&mut self.hook_names.conds, cond),
+                    then_block: self.block(then_block, class_name, method_name)?,
+                    else_block: self.block(else_block, class_name, method_name)?,
                     line: *line,
                 },
                 Instr::Repeat { count, body, line } => RInstr::Repeat {
                     count: match count {
                         CountSpec::Fixed(n) => RCount::Fixed(*n),
-                        CountSpec::Hook(h) => RCount::Hook(h.clone()),
+                        CountSpec::Hook(h) => {
+                            RCount::Hook(intern_hook(&mut self.hook_names.counts, h))
+                        }
                     },
-                    body: Self::resolve_block(
-                        body,
-                        class_name,
-                        method_name,
-                        by_name,
-                        method_index,
-                        sites,
-                        heap,
-                    )?,
+                    body: self.block(body, class_name, method_name)?,
                     line: *line,
                 },
                 Instr::Native { hook, line } => RInstr::Native {
-                    hook: hook.clone(),
+                    hook: intern_hook(&mut self.hook_names.actions, hook),
                     line: *line,
                 },
                 Instr::SetGen { gen, line } => RInstr::SetGen {
@@ -401,7 +433,12 @@ impl Loader {
                     line: *line,
                 },
                 Instr::RestoreGen { line } => RInstr::RestoreGen { line: *line },
-                Instr::RecordAlloc { line } => RInstr::RecordAlloc { line: *line },
+                // Recording is invisible to the line tracker, so the line
+                // is dropped.
+                Instr::RecordAlloc { .. } => {
+                    self.records_allocs = true;
+                    RInstr::RecordAlloc
+                }
             });
         }
         Ok(out)
@@ -499,6 +536,37 @@ mod tests {
         let mut heap = Heap::new(HeapConfig::small());
         let loaded = Loader::load(p, &mut [], &mut heap).unwrap();
         assert_eq!(loaded.sites().len(), 1);
+    }
+
+    #[test]
+    fn hook_names_intern_once_per_kind() {
+        let mut p = Program::new();
+        p.add_class(
+            ClassDef::new("A").with_method(
+                MethodDef::new("m")
+                    .push(Instr::native("h", 1))
+                    .push(Instr::Branch {
+                        cond: "h".into(),
+                        then_block: vec![Instr::native("h", 3), Instr::native("g", 4)],
+                        else_block: vec![],
+                        line: 2,
+                    })
+                    .push(Instr::alloc("X", SizeSpec::Hook("h".into()), 5)),
+            ),
+        );
+        let loaded = Loader::load(p.clone(), &mut [], &mut Heap::new(HeapConfig::small())).unwrap();
+        let names = loaded.hook_names();
+        assert_eq!(names.actions, ["h", "g"]);
+        assert_eq!(names.conds, ["h"]);
+        assert_eq!(names.sizes, ["h"]);
+        assert!(names.counts.is_empty());
+        assert!(!loaded.records_allocs());
+
+        p.classes_mut()[0].methods[0]
+            .body
+            .push(Instr::RecordAlloc { line: 5 });
+        let loaded = Loader::load(p, &mut [], &mut Heap::new(HeapConfig::small())).unwrap();
+        assert!(loaded.records_allocs());
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! End-to-end interpreter tests: programs with calls, branches, loops,
 //! hooks, agents, and collections.
 
-use polm2_gc::{GcConfig, Ng2cCollector};
-use polm2_heap::ObjectId;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use polm2_gc::{
+    AllocOutcome, AllocRequest, Collector, GcConfig, GcError, Ng2cCollector, PauseEvent,
+    SafepointRoots, ThreadId,
+};
+use polm2_heap::{GenId, Heap, ObjectId};
 use polm2_metrics::SimDuration;
 use polm2_runtime::{
     ClassDef, ClassTransformer, CodeLoc, CountSpec, HookAction, HookRegistry, Instr, Jvm,
@@ -309,4 +315,269 @@ fn hook_cost_advances_clock() {
     vm.invoke(t, "Store", "put").unwrap(); // insert hook costs 2us
     let spent = vm.clock().mutator_time() - before;
     assert!(spent >= SimDuration::from_micros(2));
+}
+
+/// Forwards to an inner collector, logging the stack roots handed to every
+/// allocation and every target generation set.
+#[derive(Debug)]
+struct Spy {
+    inner: Box<dyn Collector>,
+    log: Rc<RefCell<SpyLog>>,
+}
+
+#[derive(Debug, Default)]
+struct SpyLog {
+    roots: Vec<Vec<ObjectId>>,
+    gens: Vec<GenId>,
+}
+
+impl Collector for Spy {
+    fn name(&self) -> &'static str {
+        "spy"
+    }
+
+    fn attach(&mut self, heap: &mut Heap) {
+        self.inner.attach(heap);
+    }
+
+    fn alloc(
+        &mut self,
+        heap: &mut Heap,
+        req: AllocRequest,
+        roots: &SafepointRoots<'_>,
+    ) -> Result<AllocOutcome, GcError> {
+        self.log
+            .borrow_mut()
+            .roots
+            .push(roots.stack_roots().to_vec());
+        self.inner.alloc(heap, req, roots)
+    }
+
+    fn collect(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Vec<PauseEvent> {
+        self.inner.collect(heap, roots)
+    }
+
+    fn new_generation(&mut self, heap: &mut Heap) -> GenId {
+        self.inner.new_generation(heap)
+    }
+
+    fn set_target_gen(&mut self, thread: ThreadId, gen: GenId) -> Result<GenId, GcError> {
+        self.log.borrow_mut().gens.push(gen);
+        self.inner.set_target_gen(thread, gen)
+    }
+
+    fn target_gen(&self, thread: ThreadId) -> GenId {
+        self.inner.target_gen(thread)
+    }
+}
+
+fn spied(program: Program) -> (Jvm, Rc<RefCell<SpyLog>>) {
+    let log = Rc::new(RefCell::new(SpyLog::default()));
+    let spy = Spy {
+        inner: Box::new(Ng2cCollector::new(GcConfig::default())),
+        log: Rc::clone(&log),
+    };
+    let vm = Jvm::builder(RuntimeConfig::small())
+        .collector(Box::new(spy))
+        .build(program)
+        .expect("program loads");
+    (vm, log)
+}
+
+fn obj(raw: u64) -> ObjectId {
+    ObjectId::new(raw)
+}
+
+#[test]
+fn an_untaken_branch_may_name_an_unregistered_hook() {
+    let mut p = Program::new();
+    p.add_class(
+        ClassDef::new("App").with_method(MethodDef::new("main").push(Instr::Branch {
+            cond: "flag".into(),
+            then_block: vec![Instr::native("ghost", 2)],
+            else_block: vec![Instr::alloc("X", SizeSpec::Fixed(16), 3)],
+            line: 1,
+        })),
+    );
+    let mut vm = Jvm::builder(RuntimeConfig::small())
+        .hooks(hooks())
+        .state(Box::new(TestState::default()))
+        .build(p)
+        .expect("an unregistered hook does not fail the build");
+    let t = vm.spawn_thread();
+    vm.invoke(t, "App", "main").unwrap();
+    assert_eq!(vm.heap().stats().allocated_objects, 1);
+
+    vm.state_mut::<TestState>().flag = true;
+    assert_eq!(
+        vm.invoke(t, "App", "main"),
+        Err(RuntimeError::UnknownHook {
+            hook: "ghost".into()
+        })
+    );
+}
+
+#[test]
+fn safepoint_roots_are_each_frames_locals_then_its_acc() {
+    // main allocates #0, loops twice over mid (which allocates and calls
+    // leaf), then calls mid once more.
+    let mut p = Program::new();
+    p.add_class(
+        ClassDef::new("App")
+            .with_method(
+                MethodDef::new("main")
+                    .push(Instr::alloc("A", SizeSpec::Fixed(16), 1))
+                    .push(Instr::Repeat {
+                        count: CountSpec::Fixed(2),
+                        body: vec![Instr::call("App", "mid", 3)],
+                        line: 2,
+                    })
+                    .push(Instr::call("App", "mid", 4)),
+            )
+            .with_method(
+                MethodDef::new("mid")
+                    .push(Instr::alloc("B", SizeSpec::Fixed(16), 10))
+                    .push(Instr::call("App", "leaf", 11)),
+            )
+            .with_method(MethodDef::new("leaf").push(Instr::alloc("C", SizeSpec::Fixed(16), 20))),
+    );
+    let (mut vm, log) = spied(p);
+    let t = vm.spawn_thread();
+    vm.invoke(t, "App", "main").unwrap();
+
+    // One thread, so each safepoint's roots are exactly that thread's
+    // stack roots: per frame, outermost first, its locals then its acc.
+    let frames = |frames: &[(&[u64], Option<u64>)]| -> Vec<ObjectId> {
+        let mut out = Vec::new();
+        for (locals, acc) in frames {
+            out.extend(locals.iter().map(|&o| obj(o)));
+            out.extend(acc.map(obj));
+        }
+        out
+    };
+    let expected = vec![
+        // #0 in main: an empty stack.
+        frames(&[(&[], None)]),
+        // #1 in mid, first iteration.
+        frames(&[(&[0], Some(0)), (&[], None)]),
+        // #2 in leaf.
+        frames(&[(&[0], Some(0)), (&[1], Some(1)), (&[], None)]),
+        // #3 in mid, second iteration: the first iteration's result (#2)
+        // left main's locals with the loop body, not its acc.
+        frames(&[(&[0], Some(2)), (&[], None)]),
+        // #4 in leaf.
+        frames(&[(&[0], Some(2)), (&[3], Some(3)), (&[], None)]),
+        // #5 in mid, after the loop.
+        frames(&[(&[0], Some(4)), (&[], None)]),
+        // #6 in leaf.
+        frames(&[(&[0], Some(4)), (&[5], Some(5)), (&[], None)]),
+    ];
+    assert_eq!(log.borrow().roots, expected);
+
+    // The invocation unwound everything.
+    let thread = &vm.threads()[t.raw() as usize];
+    assert_eq!(thread.depth(), 0);
+    let mut rest = Vec::new();
+    thread.stack_roots_into(&mut rest);
+    assert!(rest.is_empty());
+}
+
+#[test]
+fn a_callee_error_unwinds_only_the_callees_frame_state() {
+    // main holds an object and a saved generation, then calls a callee
+    // that allocates, sets its own generation, and fails.
+    let mut p = Program::new();
+    p.add_class(
+        ClassDef::new("App")
+            .with_method(
+                MethodDef::new("main")
+                    .push(Instr::alloc("A", SizeSpec::Fixed(16), 1))
+                    .push(Instr::SetGen {
+                        gen: GenId::new(2),
+                        line: 2,
+                    })
+                    .push(Instr::call("App", "risky", 3))
+                    .push(Instr::RestoreGen { line: 4 }),
+            )
+            .with_method(
+                MethodDef::new("risky")
+                    .push(Instr::alloc("B", SizeSpec::Fixed(16), 10))
+                    .push(Instr::SetGen {
+                        gen: GenId::new(3),
+                        line: 11,
+                    })
+                    .push(Instr::alloc("C", SizeSpec::Fixed(16), 12))
+                    .push(Instr::native("boom", 13)),
+            )
+            // Restores a generation it never saved; its caller's saved one
+            // is not its to pop.
+            .with_method(MethodDef::new("overreach").push(Instr::RestoreGen { line: 20 }))
+            .with_method(
+                MethodDef::new("guarded")
+                    .push(Instr::alloc("D", SizeSpec::Fixed(16), 30))
+                    .push(Instr::SetGen {
+                        gen: GenId::new(2),
+                        line: 31,
+                    })
+                    .push(Instr::call("App", "overreach", 32)),
+            ),
+    );
+    let (mut vm, log) = spied(p);
+    assert_eq!(vm.new_generation(), GenId::new(2));
+    assert_eq!(vm.new_generation(), GenId::new(3));
+    let t = vm.spawn_thread();
+
+    assert_eq!(
+        vm.invoke(t, "App", "risky").map_err(|e| e.to_string()),
+        Err("unknown hook boom".to_string())
+    );
+    log.borrow_mut().roots.clear();
+    log.borrow_mut().gens.clear();
+
+    assert!(matches!(
+        vm.invoke(t, "App", "main"),
+        Err(RuntimeError::UnknownHook { .. })
+    ));
+    {
+        let log = log.borrow();
+        // The failed first invocation left nothing behind: main starts on
+        // an empty stack, and the callee's allocations see main's #2.
+        assert_eq!(
+            log.roots,
+            vec![
+                vec![],
+                vec![obj(2), obj(2)],
+                vec![obj(2), obj(2), obj(3), obj(3)]
+            ]
+        );
+        // Set 2 (main), set 3 (risky); the callee's pop restores 2, then
+        // main's pop restores young.
+        assert_eq!(
+            log.gens,
+            vec![GenId::new(2), GenId::new(3), GenId::new(2), GenId::YOUNG]
+        );
+    }
+    assert_eq!(vm.collector().target_gen(t), GenId::YOUNG);
+    assert_eq!(vm.threads()[t.raw() as usize].depth(), 0);
+
+    assert_eq!(
+        vm.invoke(t, "App", "guarded"),
+        Err(RuntimeError::UnbalancedRestoreGen)
+    );
+    assert_eq!(vm.collector().target_gen(t), GenId::YOUNG);
+}
+
+#[test]
+fn without_record_alloc_the_trace_trie_stays_at_its_root() {
+    let mut vm = jvm();
+    let t = vm.spawn_thread();
+    for i in 0..2_000 {
+        vm.state_mut::<TestState>().flag = i % 3 == 0;
+        vm.invoke(t, "Store", "mixed").unwrap();
+        vm.invoke(t, "Store", "batch").unwrap();
+    }
+    assert!(vm.gc_log().cycle_count() > 0);
+    assert!(!vm.program().records_allocs());
+    assert!(vm.trace_trie().is_empty(), "no context was ever recorded");
+    assert!(!vm.has_pending_alloc_events());
 }
