@@ -2,47 +2,64 @@
 //! STTree conflict machinery, the Analyzer pipeline) — the paper's concern
 //! that profiling must not disrupt the application, measured in host time.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use polm2_core::{Analyzer, AnalyzerConfig, Recorder, SttTree};
+use polm2_core::{AllocationRecords, Analyzer, AnalyzerConfig, Recorder, SttTree};
 use polm2_heap::{GenId, Heap, HeapConfig, IdentityHash, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
-use polm2_runtime::{ClassDef, CodeLoc, Instr, Loader, MethodDef, Program, SizeSpec, TraceFrame};
+use polm2_runtime::{
+    AllocEventBuffer, ClassDef, CodeLoc, Instr, LoadedProgram, Loader, MethodDef, Program,
+    SizeSpec, TraceFrame, TraceNodeId, TraceTrie,
+};
 use polm2_snapshot::{Snapshot, SnapshotSeries};
 
+/// A loaded program with `A.m` (allocating at line 1) and `A.n` (calling
+/// `m` at line 2): trace frames resolve at class 0, methods 0 and 1.
+fn loaded_program() -> LoadedProgram {
+    let mut program = Program::new();
+    program.add_class(
+        ClassDef::new("A")
+            .with_method(MethodDef::new("m").push(Instr::alloc("X", SizeSpec::Fixed(8), 1)))
+            .with_method(MethodDef::new("n").push(Instr::call("A", "m", 2))),
+    );
+    let mut heap = Heap::new(HeapConfig::small());
+    Loader::load(program, &mut [], &mut heap).expect("load")
+}
+
 fn recorder_ingest(c: &mut Criterion) {
+    let loaded = loaded_program();
+    // Seven call lines into one allocation frame: seven trie nodes.
+    let mut trie = TraceTrie::new();
+    let nodes: Vec<TraceNodeId> = (0..7u32)
+        .map(|line| {
+            let caller = TraceFrame {
+                class_idx: 0,
+                method_idx: 1,
+                line,
+            };
+            let site = TraceFrame {
+                class_idx: 0,
+                method_idx: 0,
+                line: 1,
+            };
+            let context = trie.child(TraceNodeId::ROOT, caller);
+            trie.child(context, site)
+        })
+        .collect();
+    let mut batch = AllocEventBuffer::new();
+    for i in 0..10_000u64 {
+        batch.push(
+            nodes[i as usize % nodes.len()],
+            IdentityHash::of(ObjectId::new(i)),
+        );
+    }
     c.bench_function("recorder_ingest_10k_events", |b| {
-        b.iter_batched(
-            || {
-                (0..10_000u64)
-                    .map(|i| polm2_runtime::AllocEvent {
-                        trace: vec![
-                            TraceFrame {
-                                class_idx: 0,
-                                method_idx: (i % 7) as u16,
-                                line: 1,
-                            },
-                            TraceFrame {
-                                class_idx: 1,
-                                method_idx: 0,
-                                line: 5,
-                            },
-                        ],
-                        object: ObjectId::new(i),
-                        hash: IdentityHash::of(ObjectId::new(i)),
-                        site: polm2_heap::SiteId::new(0),
-                        at: SimTime::ZERO,
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |events| {
-                let mut recorder = Recorder::new();
-                recorder.ingest(events);
-                let total = recorder.records().total_records();
-                total
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            let mut recorder = Recorder::new();
+            recorder.ingest(&trie, &loaded, &batch);
+            let total = recorder.records().total_records();
+            total
+        })
     });
 }
 
@@ -68,41 +85,23 @@ fn sttree_conflicts(c: &mut Criterion) {
 }
 
 fn analyzer_pipeline(c: &mut Criterion) {
-    let mut program = Program::new();
-    program.add_class(
-        ClassDef::new("A")
-            .with_method(MethodDef::new("m").push(Instr::alloc("X", SizeSpec::Fixed(8), 1)))
-            .with_method(MethodDef::new("n").push(Instr::call("A", "m", 2))),
-    );
-    let mut heap = Heap::new(HeapConfig::small());
-    let loaded = Loader::load(program, &mut [], &mut heap).expect("load");
-
-    let mut recorder = Recorder::new();
-    recorder.ingest(
-        (0..50_000u64)
-            .map(|i| polm2_runtime::AllocEvent {
-                trace: vec![
-                    TraceFrame {
-                        class_idx: 0,
-                        method_idx: 1,
-                        line: 2,
-                    },
-                    TraceFrame {
-                        class_idx: 0,
-                        method_idx: 0,
-                        line: 1,
-                    },
-                ],
-                object: ObjectId::new(i),
-                hash: IdentityHash::of(ObjectId::new(i)),
-                site: polm2_heap::SiteId::new(0),
-                at: SimTime::ZERO,
-            })
-            .collect(),
-    );
-    let records = recorder
-        .into_records()
-        .expect("no live agent holds the recorder");
+    let loaded = loaded_program();
+    let trace = [
+        TraceFrame {
+            class_idx: 0,
+            method_idx: 1,
+            line: 2,
+        },
+        TraceFrame {
+            class_idx: 0,
+            method_idx: 0,
+            line: 1,
+        },
+    ];
+    let mut records = AllocationRecords::default();
+    for i in 0..50_000u64 {
+        records.record(&trace, IdentityHash::of(ObjectId::new(i)));
+    }
 
     let mut series = SnapshotSeries::new();
     for s in 0..30u32 {

@@ -1,12 +1,10 @@
-//! Criterion benches for the Analyzer's replay path: the seed hash-probe
-//! strategy vs. the columnar sorted-merge strategy, sequential and parallel.
-//!
-//! `perfgate` (src/bin/perfgate.rs) is the regression gate with JSON output;
-//! these benches are for interactive profiling of the same code paths.
+//! Criterion benches for the Analyzer's replay path (the columnar survival
+//! table) and the snapshot index build it reads from, for interactive
+//! profiling. `polm2-benchmark` is the end-to-end regression gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use polm2_core::{AllocationRecords, Analyzer, AnalyzerConfig, ReplayStrategy};
+use polm2_core::{AllocationRecords, Analyzer, AnalyzerConfig};
 use polm2_heap::{Heap, HeapConfig, IdentityHash, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
 use polm2_runtime::{
@@ -23,8 +21,7 @@ fn xorshift(state: &mut u64) -> u64 {
     x
 }
 
-/// 100k records over 512 traces, 32 snapshots with per-trace lifespan bias —
-/// the perf-gate's "large" shape.
+/// 100k records over 512 traces, 32 snapshots with per-trace lifespan bias.
 fn build_inputs() -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
     const CLASSES: usize = 32;
     const METHODS: usize = 8;
@@ -92,35 +89,19 @@ fn build_inputs() -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
 
 fn replay(c: &mut Criterion) {
     let (records, series, loaded) = build_inputs();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4);
-    let variants = [
-        ("replay_hashprobe_seq", ReplayStrategy::HashProbe, 1),
-        ("replay_merge_seq", ReplayStrategy::SortedMerge, 1),
-        (
-            "replay_merge_parallel",
-            ReplayStrategy::SortedMerge,
-            workers,
-        ),
-    ];
-    for (name, strategy, parallelism) in variants {
-        let analyzer = Analyzer::new(AnalyzerConfig {
-            replay: strategy,
-            parallelism,
-            min_survivals: 1,
-            ..AnalyzerConfig::default()
-        });
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                analyzer
-                    .analyze(&records, &series, &loaded)
-                    .profile
-                    .sites()
-                    .len()
-            })
-        });
-    }
+    let analyzer = Analyzer::new(AnalyzerConfig {
+        min_survivals: 1,
+        ..AnalyzerConfig::default()
+    });
+    c.bench_function("replay_merge_seq", |b| {
+        b.iter(|| {
+            analyzer
+                .analyze(&records, &series, &loaded)
+                .profile
+                .sites()
+                .len()
+        })
+    });
 }
 
 fn index_build(c: &mut Criterion) {

@@ -1,12 +1,10 @@
-//! Perf gates for the three optimized paths: Analyzer replay, the online
-//! GC+snapshot pipeline, and the allocation recorder.
+//! Perf gates for the online GC+snapshot pipeline, the collectors' mark and
+//! evacuation, and the real-memory heap backend.
 //!
-//! **Analyzer gate** — times the seed implementation (sequential hash-probe
-//! replay) against the columnar merge replay, sequential and parallel, on
-//! three synthetic workload sizes, verifies all variants produce identical
-//! [`AnalysisOutcome`]s, and writes the medians to `BENCH_analyzer.json`.
-//! The parallel variant reports the execution mode the analyzer actually
-//! chose (small inputs auto-fall back to sequential).
+//! The Analyzer-replay and recorder arms are gone with the alternate paths
+//! they raced; their last numbers stay committed as frozen records in
+//! `BENCH_analyzer.json` and `BENCH_recorder.json`, and `polm2-benchmark`'s
+//! end-to-end metrics now guard those layers.
 //!
 //! **Pipeline gate** — times full GC+snapshot cycles on a churn workload
 //! (a large stable old generation plus a young garbage wave per cycle)
@@ -16,15 +14,6 @@
 //! trace per snapshot), and the full zero-retrace path. All three runs
 //! drive bit-identical heap trajectories; the produced snapshot sequences
 //! are compared field by field. Medians land in `BENCH_pipeline.json`.
-//!
-//! **Recorder gate** — replays one deterministic call/return/alloc tape
-//! through both recorder paths: the seed stack walk (clone the frame stack
-//! per allocation, ingest materialized events) and the incremental trace
-//! trie (context node maintained at push/pop, columnar buffers, memoized
-//! node ingest). Both variants share the frame-stack bookkeeping, drain on
-//! the same schedule, and must produce identical [`AllocationRecords`];
-//! medians land in `BENCH_recorder.json`. A small real-runtime session is
-//! also run both ways and folded into the equality gate.
 //!
 //! **GC gate** — drives identical collection trajectories (stable old
 //! generation, churn waves with rotating survivor roots) through full
@@ -52,23 +41,14 @@
 //! worker count. Medians land in `BENCH_heap.json`.
 //!
 //! ```text
-//! perfgate [--quick] [--workers <n>] [--min-speedup <x>]
-//!          [--min-pipeline-speedup <x>] [--min-recorder-speedup <x>]
-//!          [--min-gc-speedup <x>] [--min-heap-gbps <x>] [--out <path>]
-//!          [--pipeline-out <path>] [--recorder-out <path>] [--gc-out <path>]
-//!          [--heap-out <path>]
+//! perfgate [--quick] [--min-pipeline-speedup <x>] [--min-gc-speedup <x>]
+//!          [--min-heap-gbps <x>] [--min-copy-scaling <x>]
+//!          [--pipeline-out <path>] [--gc-out <path>] [--heap-out <path>]
 //! ```
 //!
-//! * `--quick` — fewer timed runs/cycles (CI smoke; equality gates still run).
-//! * `--workers <n>` — worker count for the parallel replay variant
-//!   (default: `available_parallelism` capped at 8).
-//! * `--min-speedup <x>` — exit non-zero unless parallel merge replay beats
-//!   the hash-probe baseline by `x` on the largest workload.
+//! * `--quick` — fewer timed cycles (CI smoke; equality gates still run).
 //! * `--min-pipeline-speedup <x>` — exit non-zero unless the zero-retrace
 //!   cycle beats the seed-equivalent cycle by `x` on the largest workload.
-//! * `--min-recorder-speedup <x>` — exit non-zero unless the trie recorder
-//!   beats the stack walk by `x` ns/allocation on the largest workload
-//!   (default 3.0; this gate is always on).
 //! * `--min-gc-speedup <x>` — exit non-zero unless the modeled 4-worker
 //!   pause beats the 1-worker pause by `x` on the largest workload
 //!   (default 2.0; this gate is always on, as is the single-worker
@@ -77,178 +57,33 @@
 //!   copy/compact bandwidth on the largest workload reaches `x` GB/s
 //!   (default 0.05; this gate is always on, as is the sim/real equality
 //!   hard gate).
-//! * `--out <path>` — analyzer JSON path (default `BENCH_analyzer.json`).
 //! * `--pipeline-out <path>` — pipeline JSON path (default
 //!   `BENCH_pipeline.json`).
-//! * `--recorder-out <path>` — recorder JSON path (default
-//!   `BENCH_recorder.json`).
 //! * `--gc-out <path>` — GC JSON path (default `BENCH_gc.json`).
 //! * `--heap-out <path>` — heap-backend JSON path (default
 //!   `BENCH_heap.json`).
 //!
 //! Exits non-zero if any variant's outputs differ from its baseline, a
-//! speedup gate fails, or any committed default-path `BENCH_*.json` carries
-//! a schema version older than [`SCHEMA_VERSION`] (stale results must be
-//! regenerated in the same change that bumps the schema).
+//! speedup gate fails, or a committed default-path `BENCH_*.json` this gate
+//! writes carries a schema version older than [`SCHEMA_VERSION`] (stale
+//! results must be regenerated in the same change that bumps the schema).
 
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
-use polm2_core::{
-    AllocationRecords, AnalysisOutcome, Analyzer, AnalyzerConfig, Recorder, ReplayStrategy,
-};
 use polm2_gc::{Collector, G1Collector, GcConfig, GcWork, SafepointRoots};
 use polm2_heap::{
     BackendKind, BuildIdHasher, Heap, HeapConfig, IdHashMap, IdHashSet, IdentityHash, ObjectId,
     ParallelTuning, RegionId, SiteId,
 };
-use polm2_metrics::{SimDuration, SimTime};
-use polm2_runtime::{
-    AllocEvent, AllocEventBuffer, ClassDef, Instr, Jvm, LoadedProgram, Loader, MethodDef, Program,
-    RecorderPath, RuntimeConfig, SizeSpec, TraceFrame, TraceNodeId, TraceTrie,
-};
-use polm2_snapshot::{CriuDumper, DumperOptions, HeapDumper, Snapshot, SnapshotSeries};
+use polm2_metrics::SimTime;
+use polm2_snapshot::{CriuDumper, DumperOptions, HeapDumper, Snapshot};
 
 /// Version of the emitted JSON schema. Bump when fields are added, removed,
 /// or change meaning; the staleness check at the end of `main` fails the
 /// gate until every committed default-path `BENCH_*.json` is regenerated at
 /// this version.
 const SCHEMA_VERSION: u32 = 2;
-
-struct Workload {
-    name: &'static str,
-    records: u64,
-    snapshots: u32,
-}
-
-const WORKLOADS: &[Workload] = &[
-    Workload {
-        name: "small",
-        records: 10_000,
-        snapshots: 8,
-    },
-    Workload {
-        name: "medium",
-        records: 50_000,
-        snapshots: 16,
-    },
-    Workload {
-        name: "large",
-        records: 120_000,
-        snapshots: 32,
-    },
-];
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Class/method grid shared by the analyzer and recorder gates: every
-/// `TraceFrame` with `class_idx < CLASSES`, `method_idx < METHODS` resolves.
-const CLASSES: usize = 32;
-const METHODS: usize = 8;
-
-fn grid_loaded() -> LoadedProgram {
-    let mut program = Program::new();
-    for c in 0..CLASSES {
-        let mut class = ClassDef::new(format!("Class{c}"));
-        for m in 0..METHODS {
-            class = class.with_method(MethodDef::new(format!("method{m}")).push(Instr::alloc(
-                "Obj",
-                SizeSpec::Fixed(32),
-                1,
-            )));
-        }
-        program.add_class(class);
-    }
-    let mut heap = Heap::new(HeapConfig::small());
-    Loader::load(program, &mut [], &mut heap).expect("load")
-}
-
-/// Builds a deterministic synthetic profiling run: `records` allocations
-/// spread over a few hundred distinct traces, `snapshots` heap snapshots
-/// with per-trace lifespan bias so survival histograms are non-trivial.
-fn build_inputs(w: &Workload) -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
-    let mut rng = 0x5eed_0000_0000_0001u64 ^ (w.records << 8) ^ u64::from(w.snapshots);
-    let loaded = grid_loaded();
-
-    let traces: Vec<Vec<TraceFrame>> = (0..512)
-        .map(|_| {
-            let depth = 1 + (xorshift(&mut rng) % 5) as usize;
-            (0..depth)
-                .map(|_| TraceFrame {
-                    class_idx: (xorshift(&mut rng) % CLASSES as u64) as u16,
-                    method_idx: (xorshift(&mut rng) % METHODS as u64) as u16,
-                    line: 1 + (xorshift(&mut rng) % 60) as u32,
-                })
-                .collect()
-        })
-        .collect();
-    let biases: Vec<u64> = (0..traces.len())
-        .map(|_| xorshift(&mut rng) % (u64::from(w.snapshots) + 1))
-        .collect();
-
-    let mut records = AllocationRecords::default();
-    let mut live: Vec<Vec<IdentityHash>> = vec![Vec::new(); w.snapshots as usize];
-    for object in 0..w.records {
-        let t = (xorshift(&mut rng) % traces.len() as u64) as usize;
-        let hash = IdentityHash::of(ObjectId::new(object + 1));
-        records.record(&traces[t], hash);
-        let jitter = xorshift(&mut rng) % 4;
-        let lifespan = (biases[t] + jitter).min(u64::from(w.snapshots));
-        for snap in live.iter_mut().take(lifespan as usize) {
-            snap.push(hash);
-        }
-    }
-    let series: SnapshotSeries = live
-        .into_iter()
-        .enumerate()
-        .map(|(seq, hashes)| {
-            Snapshot::new(
-                seq as u32,
-                SimTime::from_secs(seq as u64),
-                hashes.iter().copied().collect(),
-                4096,
-                SimDuration::from_millis(1),
-            )
-        })
-        .collect();
-    (records, series, loaded)
-}
-
-fn config(replay: ReplayStrategy, parallelism: usize) -> AnalyzerConfig {
-    AnalyzerConfig {
-        replay,
-        parallelism,
-        min_survivals: 1,
-        ..AnalyzerConfig::default()
-    }
-}
-
-/// Median ns/record over `runs` timed runs (after one warmup), plus the
-/// outcome of the last run for the equality gate.
-fn measure(
-    inputs: &(AllocationRecords, SnapshotSeries, LoadedProgram),
-    cfg: &AnalyzerConfig,
-    records: u64,
-    runs: usize,
-) -> (u64, AnalysisOutcome) {
-    let analyzer = Analyzer::new(*cfg);
-    let mut outcome = analyzer.analyze(&inputs.0, &inputs.1, &inputs.2); // warmup
-    let mut samples: Vec<u64> = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let start = Instant::now();
-        outcome = analyzer.analyze(&inputs.0, &inputs.1, &inputs.2);
-        samples.push(start.elapsed().as_nanos() as u64 / records.max(1));
-    }
-    samples.sort_unstable();
-    (samples[samples.len() / 2], outcome)
-}
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -525,248 +360,6 @@ fn snapshots_equal(a: &Snapshot, b: &Snapshot) -> bool {
         && a.size_bytes == b.size_bytes
         && a.capture_time == b.capture_time
         && a.sorted_hashes() == b.sorted_hashes()
-}
-
-// ---------------------------------------------------------------------------
-// Recorder gate
-// ---------------------------------------------------------------------------
-
-struct RecorderWorkload {
-    name: &'static str,
-    /// Recorded allocations on the tape.
-    allocs: u64,
-    /// The stack depth the tape's push/pop walk hovers around.
-    mean_depth: usize,
-}
-
-const RECORDER_WORKLOADS: &[RecorderWorkload] = &[
-    RecorderWorkload {
-        name: "small",
-        allocs: 20_000,
-        mean_depth: 8,
-    },
-    RecorderWorkload {
-        name: "medium",
-        allocs: 80_000,
-        mean_depth: 16,
-    },
-    RecorderWorkload {
-        name: "large",
-        allocs: 200_000,
-        mean_depth: 32,
-    },
-];
-
-/// One step of a deterministic call/return/alloc tape. Both recorder
-/// variants replay the same tape, so they observe the same frame stacks in
-/// the same order and must produce identical records.
-enum TapeOp {
-    Push(TraceFrame),
-    Pop,
-    Alloc(IdentityHash),
-}
-
-/// Generates a tape that replays a *fixed pool* of call paths — the shape
-/// real hotspot applications have (ROLP's premise: a bounded set of
-/// allocation contexts visited over and over). Paths are grown from shared
-/// prefixes (a call tree), each visit walks from the current stack to the
-/// target path (popping to the common ancestor, pushing the rest) and
-/// records a small burst of allocations at the leaf, like an allocation
-/// loop in a method body. Frames resolve in [`grid_loaded`]'s program.
-fn build_tape(w: &RecorderWorkload) -> Vec<TapeOp> {
-    let mut rng = 0x7ec0_4dee_0000_0001u64 ^ (w.allocs << 8) ^ w.mean_depth as u64;
-    let frame = |rng: &mut u64| TraceFrame {
-        class_idx: (xorshift(rng) % CLASSES as u64) as u16,
-        method_idx: (xorshift(rng) % METHODS as u64) as u16,
-        line: 1 + (xorshift(rng) % 60) as u32,
-    };
-    // The path pool: each new path keeps a random-length prefix of an
-    // existing one and descends with fresh frames to ~mean_depth.
-    let mut paths: Vec<Vec<TraceFrame>> = vec![vec![frame(&mut rng)]];
-    while paths.len() < 512 {
-        let base = &paths[(xorshift(&mut rng) as usize) % paths.len()];
-        let keep = 1 + (xorshift(&mut rng) as usize) % base.len();
-        let mut path: Vec<TraceFrame> = base[..keep].to_vec();
-        let depth = 1 + w.mean_depth / 2 + (xorshift(&mut rng) as usize) % w.mean_depth;
-        while path.len() < depth {
-            path.push(frame(&mut rng));
-        }
-        paths.push(path);
-    }
-
-    let mut tape = Vec::new();
-    let mut current: Vec<TraceFrame> = Vec::new();
-    let mut recorded = 0u64;
-    let mut at = 0usize;
-    while recorded < w.allocs {
-        // Visit locality: drivers repeat an operation many times before
-        // moving on, so most bursts happen in an unchanged context.
-        if xorshift(&mut rng) % 10 >= 6 {
-            at = (xorshift(&mut rng) as usize) % paths.len();
-        }
-        let target = &paths[at];
-        let common = current
-            .iter()
-            .zip(target.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        for _ in common..current.len() {
-            tape.push(TapeOp::Pop);
-        }
-        current.truncate(common);
-        for &f in &target[common..] {
-            tape.push(TapeOp::Push(f));
-            current.push(f);
-        }
-        let burst = 1 + xorshift(&mut rng) % 8;
-        for _ in 0..burst {
-            if recorded >= w.allocs {
-                break;
-            }
-            recorded += 1;
-            tape.push(TapeOp::Alloc(IdentityHash::of(ObjectId::new(recorded))));
-        }
-    }
-    for _ in 0..current.len() {
-        tape.push(TapeOp::Pop);
-    }
-    tape
-}
-
-/// The seed recorder path, transcribed: maintain the frame stack, clone it
-/// into a fresh `Vec<TraceFrame>` per allocation, buffer owning
-/// `AllocEvent`s, and drain them through the materialized (per-frame
-/// validating, per-frame interning) ingest.
-fn run_recorder_stackwalk(
-    program: &LoadedProgram,
-    tape: &[TapeOp],
-    drain_every: usize,
-) -> (u64, AllocationRecords) {
-    let mut recorder = Recorder::new();
-    let mut stack: Vec<TraceFrame> = Vec::new();
-    let mut pending: Vec<AllocEvent> = Vec::new();
-    let mut object = 0u64;
-    let start = Instant::now();
-    for op in tape {
-        match op {
-            TapeOp::Push(f) => stack.push(*f),
-            TapeOp::Pop => {
-                stack.pop();
-            }
-            TapeOp::Alloc(hash) => {
-                object += 1;
-                pending.push(AllocEvent {
-                    trace: stack.clone(),
-                    object: ObjectId::new(object),
-                    hash: *hash,
-                    site: SiteId::new(0),
-                    at: SimTime::ZERO,
-                });
-                if pending.len() >= drain_every {
-                    recorder.ingest_checked(std::mem::take(&mut pending), program);
-                }
-            }
-        }
-    }
-    recorder.ingest_checked(std::mem::take(&mut pending), program);
-    let elapsed = start.elapsed().as_nanos() as u64;
-    (elapsed, recorder.into_records().expect("sole owner"))
-}
-
-/// The trie recorder path: the same frame-stack bookkeeping, plus the
-/// context node maintained at push/pop; each allocation is one child-edge
-/// lookup and a columnar push, drained through the memoized node ingest.
-fn run_recorder_trie(
-    program: &LoadedProgram,
-    tape: &[TapeOp],
-    drain_every: usize,
-) -> (u64, AllocationRecords) {
-    let mut recorder = Recorder::new();
-    let mut trie = TraceTrie::new();
-    let mut stack: Vec<TraceFrame> = Vec::new();
-    let mut context = TraceNodeId::ROOT;
-    let mut buffer = AllocEventBuffer::new();
-    let mut object = 0u64;
-    let start = Instant::now();
-    for op in tape {
-        match op {
-            TapeOp::Push(f) => {
-                if let Some(&caller) = stack.last() {
-                    context = trie.child(context, caller);
-                }
-                stack.push(*f);
-            }
-            TapeOp::Pop => {
-                stack.pop();
-                context = trie.parent(context);
-            }
-            TapeOp::Alloc(hash) => {
-                object += 1;
-                let top = *stack.last().expect("alloc executes in a frame");
-                let node = trie.child(context, top);
-                buffer.push(
-                    node,
-                    *hash,
-                    ObjectId::new(object),
-                    SiteId::new(0),
-                    SimTime::ZERO,
-                );
-                if buffer.len() >= drain_every {
-                    recorder.ingest_nodes_checked(&trie, program, &buffer);
-                    buffer.clear();
-                }
-            }
-        }
-    }
-    recorder.ingest_nodes_checked(&trie, program, &buffer);
-    let elapsed = start.elapsed().as_nanos() as u64;
-    (elapsed, recorder.into_records().expect("sole owner"))
-}
-
-/// Everything observable about an `AllocationRecords`, for the equality gate.
-type RecordsFingerprint = (u64, Vec<(Vec<TraceFrame>, Vec<IdentityHash>)>);
-
-fn records_fingerprint(r: &AllocationRecords) -> RecordsFingerprint {
-    let per_trace = r
-        .trace_ids()
-        .map(|id| (r.trace(id), r.stream(id).to_vec()))
-        .collect();
-    (r.total_records(), per_trace)
-}
-
-/// Runs a real interpreter session under `path` and returns its records: the
-/// end-to-end cross-check that the tape emulation cannot drift away from the
-/// actual runtime.
-fn run_real_session(path: RecorderPath) -> AllocationRecords {
-    let mut program = Program::new();
-    let mut chain = ClassDef::new("Deep");
-    const DEPTH: usize = 24;
-    for i in 0..DEPTH {
-        let mut method = MethodDef::new(format!("m{i}"));
-        if i + 1 < DEPTH {
-            method = method.push(Instr::call("Deep", format!("m{}", i + 1), i as u32 + 1));
-        }
-        method = method.push(Instr::alloc("Obj", SizeSpec::Fixed(32), 40 + i as u32));
-        chain = chain.with_method(method);
-    }
-    program.add_class(chain);
-    let mut recorder = Recorder::new();
-    let mut jvm = Jvm::builder(RuntimeConfig::small().with_recorder(path))
-        .transformer(recorder.agent())
-        .build(program)
-        .expect("boot");
-    let t = jvm.spawn_thread();
-    for _ in 0..200 {
-        jvm.invoke(t, "Deep", "m0").expect("invoke");
-        jvm.drain_alloc_batches(|trie, program, batch| {
-            recorder.ingest_nodes_checked(trie, program, batch);
-        });
-        if jvm.has_pending_alloc_events() {
-            let events = jvm.drain_alloc_events();
-            recorder.ingest_checked(events, jvm.program());
-        }
-    }
-    recorder.into_records().expect("sole owner")
 }
 
 // ---------------------------------------------------------------------------
@@ -1177,49 +770,28 @@ fn check_committed_bench(path: &str, required: &[&str]) -> Result<(), String> {
 
 fn main() {
     let mut quick = false;
-    let mut min_speedup: Option<f64> = None;
     let mut min_pipeline_speedup: Option<f64> = None;
-    let mut min_recorder_speedup = 3.0f64;
     let mut min_gc_speedup = 2.0f64;
     let mut min_heap_gbps = 0.05f64;
     let mut min_copy_scaling = 1.0f64;
-    let mut out_path = String::from("BENCH_analyzer.json");
     let mut pipeline_out_path = String::from("BENCH_pipeline.json");
-    let mut recorder_out_path = String::from("BENCH_recorder.json");
     let mut gc_out_path = String::from("BENCH_gc.json");
     let mut heap_out_path = String::from("BENCH_heap.json");
-    let mut workers: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--workers" => {
-                let v = args.next().expect("--workers needs a value");
-                workers = Some(v.parse().expect("--workers needs a number"));
-            }
-            "--min-speedup" => {
-                let v = args.next().expect("--min-speedup needs a value");
-                min_speedup = Some(v.parse().expect("--min-speedup needs a number"));
-            }
             "--min-pipeline-speedup" => {
                 let v = args.next().expect("--min-pipeline-speedup needs a value");
                 min_pipeline_speedup =
                     Some(v.parse().expect("--min-pipeline-speedup needs a number"));
             }
-            "--min-recorder-speedup" => {
-                let v = args.next().expect("--min-recorder-speedup needs a value");
-                min_recorder_speedup = v.parse().expect("--min-recorder-speedup needs a number");
-            }
             "--min-gc-speedup" => {
                 let v = args.next().expect("--min-gc-speedup needs a value");
                 min_gc_speedup = v.parse().expect("--min-gc-speedup needs a number");
             }
-            "--out" => out_path = args.next().expect("--out needs a path"),
             "--pipeline-out" => {
                 pipeline_out_path = args.next().expect("--pipeline-out needs a path");
-            }
-            "--recorder-out" => {
-                recorder_out_path = args.next().expect("--recorder-out needs a path");
             }
             "--gc-out" => gc_out_path = args.next().expect("--gc-out needs a path"),
             "--heap-out" => heap_out_path = args.next().expect("--heap-out needs a path"),
@@ -1237,101 +809,9 @@ fn main() {
             }
         }
     }
-    let runs = if quick { 3 } else { 7 };
-    let parallelism = workers.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(8))
-            .unwrap_or(4)
-    });
-
-    println!("perfgate: analyzer replay, {runs} runs/variant, parallel workers = {parallelism}");
-    println!(
-        "{:<8} {:>9} {:>5} | {:>14} {:>14} {:>14} | {:>8}",
-        "size", "records", "snaps", "seq-probe", "seq-merge", "par-merge", "speedup"
-    );
-
-    let mut rows = Vec::new();
     let mut diverged = false;
-    let mut large_speedup = 0.0f64;
-    for w in WORKLOADS {
-        let inputs = build_inputs(w);
-        let (seq_ns, baseline) = measure(
-            &inputs,
-            &config(ReplayStrategy::HashProbe, 1),
-            w.records,
-            runs,
-        );
-        let (merge_ns, merge_out) = measure(
-            &inputs,
-            &config(ReplayStrategy::SortedMerge, 1),
-            w.records,
-            runs,
-        );
-        let (par_ns, par_out) = measure(
-            &inputs,
-            &config(ReplayStrategy::SortedMerge, parallelism),
-            w.records,
-            runs,
-        );
-        let identical = merge_out == baseline && par_out == baseline;
-        if !identical {
-            diverged = true;
-            eprintln!(
-                "FAIL: {} outputs diverge from the sequential baseline",
-                w.name
-            );
-        }
-        let speedup = seq_ns as f64 / par_ns.max(1) as f64;
-        if w.name == "large" {
-            large_speedup = speedup;
-        }
-        // The execution mode the "parallel" variant actually ran in: below
-        // the record threshold the analyzer falls back to sequential.
-        let parallel_mode =
-            if config(ReplayStrategy::SortedMerge, parallelism).effective_workers(w.records) > 1 {
-                "parallel"
-            } else {
-                "sequential-fallback"
-            };
-        println!(
-            "{:<8} {:>9} {:>5} | {:>11} ns {:>11} ns {:>11} ns | {:>7.2}x ({parallel_mode})",
-            w.name, w.records, w.snapshots, seq_ns, merge_ns, par_ns, speedup
-        );
-        rows.push(format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"records\": {}, \"snapshots\": {}, ",
-                "\"sequential_hashprobe_ns_per_record\": {}, ",
-                "\"sequential_merge_ns_per_record\": {}, ",
-                "\"parallel_merge_ns_per_record\": {}, ",
-                "\"parallel_workers\": {}, ",
-                "\"parallel_mode\": \"{}\", ",
-                "\"speedup_parallel_merge_vs_seed\": {:.2}, ",
-                "\"outputs_identical\": {}}}"
-            ),
-            json_escape(w.name),
-            w.records,
-            w.snapshots,
-            seq_ns,
-            merge_ns,
-            par_ns,
-            parallelism,
-            parallel_mode,
-            speedup,
-            identical
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"analyzer_replay\",\n  \"schema_version\": {},\n  \"units\": \"median ns/record, {} runs\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        SCHEMA_VERSION,
-        runs,
-        rows.join(",\n")
-    );
-    std::fs::write(&out_path, &json).expect("write bench json");
-    println!("wrote {out_path}");
 
     // ---- online pipeline gate -------------------------------------------
-    println!();
     println!("perfgate: online GC+snapshot pipeline, median over timed cycles");
     println!(
         "{:<8} {:>8} {:>7} {:>6} | {:>14} {:>14} {:>14} | {:>8}",
@@ -1406,95 +886,6 @@ fn main() {
     );
     std::fs::write(&pipeline_out_path, &pipeline_json).expect("write pipeline bench json");
     println!("wrote {pipeline_out_path}");
-
-    // ---- recorder gate ---------------------------------------------------
-    println!();
-    println!("perfgate: allocation recorder, {runs} runs/variant, median ns/allocation");
-    println!(
-        "{:<8} {:>9} {:>6} | {:>14} {:>14} | {:>8}",
-        "size", "allocs", "depth", "stack-walk", "trace-trie", "speedup"
-    );
-    let program = grid_loaded();
-    let drain_every = AllocEventBuffer::DEFAULT_CAPACITY;
-    let mut recorder_rows = Vec::new();
-    let mut large_recorder_speedup = 0.0f64;
-    for w in RECORDER_WORKLOADS {
-        let tape = build_tape(w);
-        // Warmup + timed runs per variant; the cold trie/memos are rebuilt
-        // every run, so their construction cost is inside the measurement.
-        let mut walk_samples = Vec::with_capacity(runs);
-        let mut trie_samples = Vec::with_capacity(runs);
-        let (_, mut walk_records) = run_recorder_stackwalk(&program, &tape, drain_every);
-        let (_, mut trie_records) = run_recorder_trie(&program, &tape, drain_every);
-        for _ in 0..runs {
-            let (ns, r) = run_recorder_stackwalk(&program, &tape, drain_every);
-            walk_samples.push(ns / w.allocs.max(1));
-            walk_records = r;
-            let (ns, r) = run_recorder_trie(&program, &tape, drain_every);
-            trie_samples.push(ns / w.allocs.max(1));
-            trie_records = r;
-        }
-        let identical = records_fingerprint(&walk_records) == records_fingerprint(&trie_records);
-        if !identical {
-            diverged = true;
-            eprintln!("FAIL: {} recorder paths produced different records", w.name);
-        }
-        let walk_ns = median(walk_samples);
-        let trie_ns = median(trie_samples);
-        let speedup = walk_ns as f64 / trie_ns.max(1) as f64;
-        if w.name == "large" {
-            large_recorder_speedup = speedup;
-        }
-        println!(
-            "{:<8} {:>9} {:>6} | {:>11} ns {:>11} ns | {:>7.2}x",
-            w.name, w.allocs, w.mean_depth, walk_ns, trie_ns, speedup
-        );
-        recorder_rows.push(format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"allocs\": {}, \"mean_depth\": {}, ",
-                "\"stackwalk_ns_per_alloc\": {}, ",
-                "\"trie_ns_per_alloc\": {}, ",
-                "\"speedup_trie_vs_stackwalk\": {:.2}, ",
-                "\"outputs_identical\": {}}}"
-            ),
-            json_escape(w.name),
-            w.allocs,
-            w.mean_depth,
-            walk_ns,
-            trie_ns,
-            speedup,
-            identical
-        ));
-    }
-    // End-to-end cross-check on the real interpreter, both paths.
-    let real_walk = run_real_session(RecorderPath::StackWalk);
-    let real_trie = run_real_session(RecorderPath::TraceTrie);
-    let real_identical = records_fingerprint(&real_walk) == records_fingerprint(&real_trie);
-    if !real_identical {
-        diverged = true;
-        eprintln!("FAIL: real-runtime recorder paths produced different records");
-    }
-    println!(
-        "real-runtime cross-check: {} records/path, identical = {real_identical}",
-        real_walk.total_records()
-    );
-    let recorder_json = format!(
-        concat!(
-            "{{\n  \"bench\": \"allocation_recorder\",\n",
-            "  \"schema_version\": {},\n",
-            "  \"units\": \"median ns/allocation, {} runs\",\n",
-            "  \"drain_every\": {},\n",
-            "  \"real_runtime_outputs_identical\": {},\n",
-            "  \"workloads\": [\n{}\n  ]\n}}\n"
-        ),
-        SCHEMA_VERSION,
-        runs,
-        drain_every,
-        real_identical,
-        recorder_rows.join(",\n")
-    );
-    std::fs::write(&recorder_out_path, &recorder_json).expect("write recorder bench json");
-    println!("wrote {recorder_out_path}");
 
     // ---- GC mark+evacuate gate -------------------------------------------
     println!();
@@ -1763,13 +1154,6 @@ fn main() {
     if diverged {
         std::process::exit(1);
     }
-    if let Some(min) = min_speedup {
-        if large_speedup < min {
-            eprintln!("FAIL: large-workload speedup {large_speedup:.2}x below required {min:.2}x");
-            std::process::exit(1);
-        }
-        println!("speedup gate passed: {large_speedup:.2}x >= {min:.2}x");
-    }
     if let Some(min) = min_pipeline_speedup {
         if large_pipeline_speedup < min {
             eprintln!(
@@ -1779,15 +1163,6 @@ fn main() {
         }
         println!("pipeline speedup gate passed: {large_pipeline_speedup:.2}x >= {min:.2}x");
     }
-    if large_recorder_speedup < min_recorder_speedup {
-        eprintln!(
-            "FAIL: large-workload recorder speedup {large_recorder_speedup:.2}x below required {min_recorder_speedup:.2}x"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "recorder speedup gate passed: {large_recorder_speedup:.2}x >= {min_recorder_speedup:.2}x"
-    );
     if large_gc_speedup < min_gc_speedup {
         eprintln!(
             "FAIL: large-workload modeled 4-worker GC speedup {large_gc_speedup:.2}x below required {min_gc_speedup:.2}x"
@@ -1818,14 +1193,12 @@ fn main() {
     println!("heap copy-scaling gate passed: {large_copy_scaling:.2}x >= {min_copy_scaling:.2}x");
 
     // ---- committed-results staleness check -------------------------------
-    // Checked at the default paths regardless of --out overrides: CI runs
+    // Checked at the default paths regardless of --*-out overrides: CI runs
     // write throwaway files but the repo's committed numbers must match the
     // gate's schema.
     let mut stale = false;
     for (path, required) in [
-        ("BENCH_analyzer.json", &[][..]),
-        ("BENCH_pipeline.json", &[]),
-        ("BENCH_recorder.json", &[]),
+        ("BENCH_pipeline.json", &[][..]),
         ("BENCH_gc.json", &[]),
         (
             "BENCH_heap.json",

@@ -1,49 +1,23 @@
 //! The Analyzer: from allocation records + snapshots to an allocation
 //! profile (paper §3.3).
 //!
-//! Two independent performance knobs, both defaulting to the fast path and
-//! both guaranteed to produce output identical to the original sequential
-//! hash-probe implementation:
-//!
-//! * [`ReplayStrategy`] — how per-object survival counts are computed.
-//!   [`ReplayStrategy::SortedMerge`] folds the columnar
-//!   [`SnapshotIndex`](polm2_snapshot::SnapshotIndex) the series maintains at
-//!   capture time into one sorted survival table (a weighted merge over the
-//!   delta-encoded columns), replacing millions of hash-map probes with
-//!   linear merges and directory-indexed lookups.
-//!   [`ReplayStrategy::HashProbe`] keeps the original probe loop as the
-//!   baseline.
-//! * [`AnalyzerConfig::parallelism`] — the per-trace lifetime stage and the
-//!   STTree conflict-resolution stage shard across scoped worker threads.
-//!   Shards are contiguous trace-id (resp. conflict) ranges and results are
-//!   merged in shard order, so any parallelism level produces bit-identical
-//!   output; `1` runs the sequential path inline on the calling thread.
+//! Survival counts come from the columnar
+//! [`SnapshotIndex`](polm2_snapshot::SnapshotIndex) the series maintains at
+//! capture time: its running accumulator already holds every hash's
+//! appearance count, so the replay builds one directory-indexed lookup table
+//! ([`SnapshotIndex::survival_counts`](polm2_snapshot::SnapshotIndex::survival_counts))
+//! and each recorded object costs one lookup instead of one hash probe per
+//! snapshot.
 
 use std::collections::{BTreeMap, HashMap};
 
-use polm2_heap::{GenId, IdHashMap, IdHashSet, IdentityHash};
+use polm2_heap::{GenId, IdHashSet};
 use polm2_runtime::{CodeLoc, LoadedProgram};
-use polm2_snapshot::{SnapshotSeries, SurvivalCounts};
+use polm2_snapshot::SnapshotSeries;
 
 use crate::recorder::{AllocationRecords, TraceId};
 use crate::sttree::{Conflict, Resolution, SttTree};
 use crate::{AllocationProfile, GenCall, PretenuredSite};
-
-/// How the Analyzer computes per-object survival counts (step 1 of §3.3).
-///
-/// Both strategies produce identical counts; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplayStrategy {
-    /// The original implementation: one hash-map entry probe per (object,
-    /// snapshot) membership. Kept as the perf-gate baseline and as a
-    /// differential-testing oracle.
-    HashProbe,
-    /// Columnar replay: sorted per-snapshot hash columns (delta-encoded
-    /// against the previous snapshot where smaller) are merge-accumulated
-    /// into one sorted `(hash, count)` table; lookups are binary searches.
-    #[default]
-    SortedMerge,
-}
 
 /// Analyzer tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,19 +36,6 @@ pub struct AnalyzerConfig {
     /// default. Traces demoted by this guard are counted in
     /// [`AnalysisOutcome::demoted_traces`].
     pub min_snapshots: u32,
-    /// How survival counts are computed; see [`ReplayStrategy`].
-    pub replay: ReplayStrategy,
-    /// Worker threads for the per-trace lifetime stage and conflict
-    /// resolution. `0` and `1` both mean sequential (run inline on the
-    /// calling thread); any value produces bit-identical output.
-    pub parallelism: usize,
-    /// Below this many recorded allocations the analyzer ignores
-    /// [`parallelism`](AnalyzerConfig::parallelism) and runs sequentially:
-    /// on small inputs thread spawn/join costs more than the sharded work
-    /// saves (the perf gate measured ~0.9× on a 10k-record workload).
-    /// Output is identical either way — this knob only picks the cheaper
-    /// execution mode.
-    pub min_parallel_records: u64,
 }
 
 impl Default for AnalyzerConfig {
@@ -83,24 +44,6 @@ impl Default for AnalyzerConfig {
             min_survivals: 2,
             min_objects: 4,
             min_snapshots: 2,
-            replay: ReplayStrategy::SortedMerge,
-            parallelism: 1,
-            min_parallel_records: 16_384,
-        }
-    }
-}
-
-impl AnalyzerConfig {
-    /// The worker count [`Analyzer::analyze`] will actually use for
-    /// `record_count` recorded allocations: `parallelism`, unless the input
-    /// is below [`min_parallel_records`](AnalyzerConfig::min_parallel_records)
-    /// — then `1` (sequential). Exposed so harnesses can report the chosen
-    /// mode alongside their measurements.
-    pub fn effective_workers(&self, record_count: u64) -> usize {
-        if record_count < self.min_parallel_records {
-            1
-        } else {
-            self.parallelism.max(1)
         }
     }
 }
@@ -167,135 +110,6 @@ pub struct AnalysisOutcome {
     pub demoted_traces: u64,
 }
 
-/// Survival counts behind either replay strategy, with one lookup API.
-enum Survivals<'a> {
-    Probe(IdHashMap<IdentityHash, u32>),
-    Merged(SurvivalCounts),
-    /// The fused single-pass path for small profiles: lookups binary-search
-    /// the index's running accumulator in place. No table clone, no 64 Ki
-    /// directory build — the whole replay is one pass over the record
-    /// streams, which a sub-16k-record session cannot amortize the directory
-    /// for. Counts agree with [`Survivals::Merged`] on every input (both
-    /// read the same packed accumulator).
-    Fused(&'a polm2_snapshot::SnapshotIndex),
-}
-
-impl<'a> Survivals<'a> {
-    fn build(snapshots: &'a SnapshotSeries, strategy: ReplayStrategy, fused: bool) -> Self {
-        match strategy {
-            ReplayStrategy::HashProbe => {
-                let mut survivals: IdHashMap<IdentityHash, u32> = IdHashMap::default();
-                for snapshot in snapshots.snapshots() {
-                    for &hash in snapshot.hashes() {
-                        *survivals.entry(hash).or_insert(0) += 1;
-                    }
-                }
-                Survivals::Probe(survivals)
-            }
-            ReplayStrategy::SortedMerge if fused => Survivals::Fused(snapshots.index()),
-            ReplayStrategy::SortedMerge => {
-                // The series maintains its columnar index at capture time;
-                // the replay only pays for the weighted-event fold.
-                Survivals::Merged(snapshots.index().survival_counts())
-            }
-        }
-    }
-
-    fn get(&self, hash: IdentityHash) -> u32 {
-        match self {
-            Survivals::Probe(map) => map.get(&hash).copied().unwrap_or(0),
-            Survivals::Merged(counts) => counts.get(u64::from(hash.raw())),
-            Survivals::Fused(index) => index.survivals_of(u64::from(hash.raw())),
-        }
-    }
-}
-
-/// One trace's stats before generation assignment: (trace, path, histogram,
-/// typical survivals, objects, lifetime class, demoted-by-guard flag).
-type RawTrace = (
-    TraceId,
-    Vec<CodeLoc>,
-    BTreeMap<u32, u64>,
-    u32,
-    u64,
-    Option<u32>,
-    bool,
-);
-
-/// Computes per-trace lifetime stats for one contiguous shard of trace ids.
-///
-/// Pure function of its inputs and processes ids in order, so concatenating
-/// shard outputs in shard order reproduces the sequential pass exactly.
-fn shard_lifetimes(
-    ids: &[TraceId],
-    records: &AllocationRecords,
-    survivals: &Survivals<'_>,
-    locs: &[CodeLoc],
-    config: &AnalyzerConfig,
-    under_observed: bool,
-    snapshot_count: usize,
-) -> Vec<RawTrace> {
-    // Survival counts are bounded by the snapshot count, so a flat bucket
-    // array (reused across traces) replaces per-record BTreeMap inserts.
-    let mut buckets = vec![0u64; snapshot_count + 1];
-    let mut out = Vec::with_capacity(ids.len());
-    for &trace in ids {
-        let stream = records.stream(trace);
-        for &hash in stream {
-            buckets[survivals.get(hash) as usize] += 1;
-        }
-        let objects = stream.len() as u64;
-        let typical_survivals = {
-            let mut remaining = objects.div_ceil(2);
-            let mut median = 0;
-            for (s, &count) in buckets.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                if count >= remaining {
-                    median = s as u32;
-                    break;
-                }
-                remaining -= count;
-            }
-            median
-        };
-        let histogram: BTreeMap<u32, u64> = buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &count)| count > 0)
-            .map(|(s, &count)| (s as u32, count))
-            .collect();
-        buckets.iter_mut().for_each(|c| *c = 0);
-        let path: Vec<CodeLoc> = records
-            .trace_symbols(trace)
-            .iter()
-            .map(|&s| locs[s.index()].clone())
-            .collect();
-        let (class, demoted) =
-            if objects < config.min_objects || typical_survivals < config.min_survivals {
-                (None, false)
-            } else if under_observed {
-                // Enough evidence to pretenure in a healthy run, but too few
-                // snapshots actually arrived (lost captures): fall back to
-                // the young default and count the demotion.
-                (None, true)
-            } else {
-                (Some(typical_survivals.ilog2()), false)
-            };
-        out.push((
-            trace,
-            path,
-            histogram,
-            typical_survivals,
-            objects,
-            class,
-            demoted,
-        ));
-    }
-    out
-}
-
 /// The offline analyzer.
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
@@ -311,116 +125,112 @@ impl Analyzer {
     /// Runs the full §3.3 pipeline:
     ///
     /// 1. count, per recorded object, the number of snapshots it appears in
-    ///    (the bucket walk) — via hash probes or the columnar merge,
-    ///    per [`AnalyzerConfig::replay`];
+    ///    (the bucket walk) — one lookup in the snapshot index's survival
+    ///    table per object;
     /// 2. per allocation path, find the survivor-mass median and map it to a
     ///    target generation (log₂ quantization: lifetimes within 2× share a
-    ///    generation) — sharded across [`AnalyzerConfig::parallelism`]
-    ///    workers;
-    /// 3. build the STTree, detect conflicts, resolve them (Algorithm 1) —
-    ///    resolution sharded per conflict;
+    ///    generation);
+    /// 3. build the STTree, detect conflicts, resolve them (Algorithm 1);
     /// 4. assemble the profile with the §4.4 subtree-hoisting optimization.
     ///
-    /// Output is a pure function of the inputs and `min_*` thresholds:
-    /// `replay` and `parallelism` never change the result, only the cost.
+    /// Output is a pure function of the inputs and the `min_*` thresholds.
     pub fn analyze(
         &self,
         records: &AllocationRecords,
         snapshots: &SnapshotSeries,
         program: &LoadedProgram,
     ) -> AnalysisOutcome {
-        // Step 1: survivals per object hash. Small profiles (the common
-        // per-tenant case in fleet merges) take the fused single-pass path:
-        // below the same threshold that disables sharding, lookups go
-        // straight to the index's accumulator and the directory build is
-        // skipped entirely. Identical counts either way.
-        let fused = records.total_records() < self.config.min_parallel_records;
-        let survivals = Survivals::build(snapshots, self.config.replay, fused);
+        // Step 1: survivals per object hash. The series maintains its
+        // columnar index at capture time; the replay only pays for the
+        // lookup directory.
+        let survivals = snapshots.index().survival_counts();
 
-        // Step 2: per-trace histograms, medians, and generation classes.
+        // Step 2: per-trace histograms, medians, and lifetime classes.
         // Location strings are resolved once per interned frame symbol;
         // the per-trace loop only clones from this table.
         let locs: Vec<CodeLoc> = records.symbols().loc_table(program);
         let under_observed = (snapshots.len() as u32) < self.config.min_snapshots;
-        let ids: Vec<TraceId> = records.trace_ids().collect();
-        let workers = self.config.effective_workers(records.total_records());
-        let raw: Vec<RawTrace> = if workers == 1 || ids.len() < 2 {
-            shard_lifetimes(
-                &ids,
-                records,
-                &survivals,
-                &locs,
-                &self.config,
-                under_observed,
-                snapshots.len(),
-            )
-        } else {
-            let chunk = ids.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = ids
-                    .chunks(chunk)
-                    .map(|shard| {
-                        let survivals = &survivals;
-                        let locs = &locs;
-                        let config = &self.config;
-                        s.spawn(move || {
-                            shard_lifetimes(
-                                shard,
-                                records,
-                                survivals,
-                                locs,
-                                config,
-                                under_observed,
-                                snapshots.len(),
-                            )
-                        })
-                    })
-                    .collect();
-                // Joining in spawn order concatenates shards in trace-id
-                // order: identical to the sequential pass.
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
-
+        // Survival counts are bounded by the snapshot count, so a flat
+        // bucket array (reused across traces) replaces per-record BTreeMap
+        // inserts.
+        let mut buckets = vec![0u64; snapshots.len() + 1];
+        let mut lifetimes: Vec<TraceLifetime> = Vec::with_capacity(records.trace_count());
+        // Per trace, its log₂ lifetime class, or `None` if it stays young.
+        let mut trace_classes: Vec<Option<u32>> = Vec::with_capacity(records.trace_count());
         let mut demoted_traces = 0u64;
-        let mut classes: Vec<u32> = Vec::new(); // distinct log2 lifetime classes
-        for (_, _, _, _, _, class, demoted) in &raw {
-            if *demoted {
-                demoted_traces += 1;
+        for trace in records.trace_ids() {
+            let stream = records.stream(trace);
+            for &hash in stream {
+                buckets[survivals.get(u64::from(hash.raw())) as usize] += 1;
             }
-            if let Some(c) = class {
-                if !classes.contains(c) {
-                    classes.push(*c);
+            let objects = stream.len() as u64;
+            let typical_survivals = {
+                let mut remaining = objects.div_ceil(2);
+                let mut median = 0;
+                for (s, &count) in buckets.iter().enumerate() {
+                    if count == 0 {
+                        continue;
+                    }
+                    if count >= remaining {
+                        median = s as u32;
+                        break;
+                    }
+                    remaining -= count;
                 }
-            }
+                median
+            };
+            let histogram: BTreeMap<u32, u64> = buckets
+                .iter()
+                .enumerate()
+                .filter(|&(_, &count)| count > 0)
+                .map(|(s, &count)| (s as u32, count))
+                .collect();
+            buckets.iter_mut().for_each(|c| *c = 0);
+            let path: Vec<CodeLoc> = records
+                .trace_symbols(trace)
+                .iter()
+                .map(|&s| locs[s.index()].clone())
+                .collect();
+            let class = if objects < self.config.min_objects
+                || typical_survivals < self.config.min_survivals
+            {
+                None
+            } else if under_observed {
+                // Enough evidence to pretenure in a healthy run, but too few
+                // snapshots actually arrived (lost captures): fall back to
+                // the young default and count the demotion.
+                demoted_traces += 1;
+                None
+            } else {
+                Some(typical_survivals.ilog2())
+            };
+            lifetimes.push(TraceLifetime {
+                trace,
+                path,
+                histogram,
+                typical_survivals,
+                objects,
+                gen: GenId::YOUNG,
+            });
+            trace_classes.push(class);
         }
-        classes.sort_unstable();
 
         // Map lifetime classes to generations 2, 3, ... (generation 1 is the
         // collectors' age-out old generation; pretenured cohorts get their
         // own spaces above it, like NG2C's dynamic generations).
+        let mut classes: Vec<u32> = trace_classes.iter().flatten().copied().collect();
+        classes.sort_unstable();
+        classes.dedup();
         let gen_of_class: HashMap<u32, GenId> = classes
             .iter()
             .enumerate()
             .map(|(i, &c)| (c, GenId::new(2 + i as u32)))
             .collect();
-
-        let lifetimes: Vec<TraceLifetime> = raw
-            .into_iter()
-            .map(
-                |(trace, path, histogram, typical_survivals, objects, class, _)| TraceLifetime {
-                    trace,
-                    path,
-                    histogram,
-                    typical_survivals,
-                    objects,
-                    gen: class.map(|c| gen_of_class[&c]).unwrap_or(GenId::YOUNG),
-                },
-            )
-            .collect();
+        for (lifetime, class) in lifetimes.iter_mut().zip(&trace_classes) {
+            if let Some(class) = class {
+                lifetime.gen = gen_of_class[class];
+            }
+        }
 
         // Step 3: STTree. A trace with no resolvable frames (possible only
         // for records of untrusted provenance, e.g. a replayed journal) has
@@ -433,26 +243,7 @@ impl Analyzer {
             }
         }
         let conflicts = tree.detect_conflicts();
-        let resolutions: Vec<Resolution> = if workers == 1 || conflicts.len() < 2 {
-            tree.solve_conflicts(&conflicts)
-        } else {
-            // Conflicts are independent; shard them and concatenate in
-            // shard order (see `SttTree::solve_conflicts`).
-            let chunk = conflicts.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = conflicts
-                    .chunks(chunk)
-                    .map(|shard| {
-                        let tree = &tree;
-                        s.spawn(move || tree.solve_conflicts(shard))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        };
+        let resolutions = tree.solve_conflicts(&conflicts);
         // Conflicted locations as interned tree ids: membership tests in the
         // profile-assembly loop are integer set probes, no CodeLoc clones.
         // Conflicts come from the tree, so every location interns; the
@@ -513,7 +304,7 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polm2_heap::{Heap, HeapConfig, ObjectId};
+    use polm2_heap::{Heap, HeapConfig, IdentityHash, ObjectId};
     use polm2_metrics::{SimDuration, SimTime};
     use polm2_runtime::{ClassDef, Instr, Loader, MethodDef, Program, SizeSpec, TraceFrame};
     use polm2_snapshot::Snapshot;
@@ -754,108 +545,5 @@ mod tests {
         assert_eq!(stats[0].objects, 8);
         assert_eq!(stats[0].typical_survivals, 3);
         assert_eq!(stats[0].histogram[&3], 8);
-    }
-
-    /// A mixed workload with conflicts, several lifetime classes, and traces
-    /// below every threshold — the shape that exercises every branch of the
-    /// determinism contract.
-    fn mixed_inputs() -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
-        let (_, program) = loaded();
-        let mut records = AllocationRecords::default();
-        let long_hashes: Vec<_> = (0..64).map(hash).collect();
-        let short_hashes: Vec<_> = (1000..1064).map(hash).collect();
-        for &h in &long_hashes {
-            records.record(&long_trace(), h);
-        }
-        for &h in &short_hashes {
-            records.record(&short_trace(), h);
-        }
-        // A sparse trace below min_objects.
-        records.record(
-            &[TraceFrame {
-                class_idx: 0,
-                method_idx: 0,
-                line: 10,
-            }],
-            hash(5000),
-        );
-        let mut series = SnapshotSeries::new();
-        for s in 0..12 {
-            let mut live = long_hashes.clone();
-            if s < 2 {
-                live.extend(&short_hashes);
-            }
-            series.push(snapshot(s, &live));
-        }
-        (records, series, program)
-    }
-
-    #[test]
-    fn replay_strategies_agree() {
-        let (records, series, program) = mixed_inputs();
-        let probe = Analyzer::new(AnalyzerConfig {
-            replay: ReplayStrategy::HashProbe,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&records, &series, &program);
-        let merged = Analyzer::new(AnalyzerConfig {
-            replay: ReplayStrategy::SortedMerge,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&records, &series, &program);
-        assert_eq!(probe, merged);
-    }
-
-    #[test]
-    fn parallelism_is_invisible_in_the_output() {
-        let (records, series, program) = mixed_inputs();
-        let sequential = Analyzer::default().analyze(&records, &series, &program);
-        for parallelism in [2, 3, 8] {
-            let parallel = Analyzer::new(AnalyzerConfig {
-                parallelism,
-                // Force the parallel path even on this small input.
-                min_parallel_records: 0,
-                ..AnalyzerConfig::default()
-            })
-            .analyze(&records, &series, &program);
-            assert_eq!(sequential, parallel, "parallelism={parallelism}");
-        }
-    }
-
-    #[test]
-    fn fused_replay_matches_the_directory_table() {
-        let (records, series, program) = mixed_inputs();
-        // Below the threshold the sorted-merge strategy reads survivals
-        // straight out of the snapshot index (no directory table is built).
-        let fused = Analyzer::new(AnalyzerConfig {
-            replay: ReplayStrategy::SortedMerge,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&records, &series, &program);
-        // Forcing the threshold to zero materialises the directory table.
-        let tabled = Analyzer::new(AnalyzerConfig {
-            replay: ReplayStrategy::SortedMerge,
-            min_parallel_records: 0,
-            ..AnalyzerConfig::default()
-        })
-        .analyze(&records, &series, &program);
-        assert_eq!(fused, tabled);
-    }
-
-    #[test]
-    fn small_inputs_fall_back_to_sequential() {
-        let config = AnalyzerConfig {
-            parallelism: 8,
-            ..AnalyzerConfig::default()
-        };
-        assert_eq!(config.effective_workers(0), 1);
-        assert_eq!(config.effective_workers(config.min_parallel_records - 1), 1);
-        assert_eq!(config.effective_workers(config.min_parallel_records), 8);
-        // Disabling the threshold restores unconditional parallelism.
-        let always = AnalyzerConfig {
-            min_parallel_records: 0,
-            ..config
-        };
-        assert_eq!(always.effective_workers(0), 8);
     }
 }

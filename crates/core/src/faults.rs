@@ -15,9 +15,11 @@
 //!   against the simulated clock, then skips and counts.
 //! * **Snapshot truncation** — the dump succeeds but loses a fraction of its
 //!   live-object hashes (a partial image). Objects merely look shorter-lived.
-//! * **Record drop / duplication / corruption** — the Recorder's event
-//!   stream loses events, repeats them, or delivers structurally invalid
-//!   frames (caught at ingest and dropped with a counter).
+//! * **Record drop / duplication / corruption** — a drained allocation
+//!   batch loses events, repeats them, or delivers events through trace
+//!   nodes that resolve to no allocation path (caught at ingest and dropped
+//!   with a counter). The mutated batch feeds the same columnar ingest a
+//!   fault-free session runs.
 //! * **Profile-text corruption** — bytes of a serialized profile are
 //!   clobbered before parsing (surfaces as a typed parse error downstream).
 //! * **Disk faults** — the session journal's I/O surface misbehaves
@@ -37,7 +39,7 @@ use std::rc::Rc;
 
 use polm2_heap::{CorruptionKind, Heap, IdHashSet, IdentityHash, PlantedCorruption};
 use polm2_metrics::SimTime;
-use polm2_runtime::{AllocEvent, TraceFrame};
+use polm2_runtime::{AllocEventBuffer, TraceNodeId};
 use polm2_snapshot::{HeapDumper, JournalMedia, Snapshot, SnapshotError};
 
 /// Which faults to inject, and how often. All rates are probabilities in
@@ -57,7 +59,8 @@ pub struct FaultConfig {
     /// Per-event probability that an allocation record is duplicated.
     pub record_duplicate_rate: f64,
     /// Per-event probability that an allocation record is structurally
-    /// corrupted (invalid trace frames; dropped at ingest).
+    /// corrupted (its trace node resolves to no allocation path; dropped at
+    /// ingest).
     pub record_corrupt_rate: f64,
     /// Per-character probability that profile text is clobbered by
     /// [`FaultInjector::corrupt_profile_text`].
@@ -159,15 +162,20 @@ impl FaultConfig {
     pub fn is_inert(&self) -> bool {
         self.snapshot_failure_rate == 0.0
             && self.snapshot_truncation_rate == 0.0
-            && self.record_drop_rate == 0.0
-            && self.record_duplicate_rate == 0.0
-            && self.record_corrupt_rate == 0.0
+            && !self.mutates_records()
             && self.profile_corrupt_rate == 0.0
             && self.io_error_rate == 0.0
             && self.io_short_write_rate == 0.0
             && self.io_bit_flip_rate == 0.0
             && self.io_torn_rename_rate == 0.0
             && !self.corrupts_heap()
+    }
+
+    /// True if any record-stream fault (drop, duplicate, corrupt) can fire.
+    pub fn mutates_records(&self) -> bool {
+        self.record_drop_rate > 0.0
+            || self.record_duplicate_rate > 0.0
+            || self.record_corrupt_rate > 0.0
     }
 
     /// True if any memory-corruption class can fire.
@@ -269,61 +277,41 @@ impl FaultInjector {
         rate > 0.0 && self.next_f64() < rate
     }
 
-    /// Applies record-stream faults to a drained event batch in place.
-    pub fn mutate_events(&mut self, events: &mut Vec<AllocEvent>) {
-        if self.config.record_drop_rate == 0.0
-            && self.config.record_duplicate_rate == 0.0
-            && self.config.record_corrupt_rate == 0.0
-        {
-            return;
-        }
-        let mut out = Vec::with_capacity(events.len());
-        for mut event in events.drain(..) {
+    /// Applies record-stream faults to one drained batch: writes the
+    /// surviving events of `batch`, in order, into `out` (cleared first; its
+    /// storage is reused across batches). Per event the draws are: drop
+    /// roll, corrupt roll, then either the corruption-kind draw or the
+    /// duplicate roll. A rate of zero draws nothing, so a config without
+    /// record faults copies the batch unchanged and leaves the PRNG stream
+    /// untouched.
+    pub fn mutate_batch(&mut self, batch: &AllocEventBuffer, out: &mut AllocEventBuffer) {
+        out.clear();
+        for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
             if self.roll(self.config.record_drop_rate) {
                 self.injected.records_dropped += 1;
                 continue;
             }
             if self.roll(self.config.record_corrupt_rate) {
-                self.corrupt_event(&mut event);
                 self.injected.records_corrupted += 1;
-            } else if self.roll(self.config.record_duplicate_rate) {
-                self.injected.records_duplicated += 1;
-                out.push(event.clone());
+                out.push(self.corrupt_node(), hash);
+                continue;
             }
-            out.push(event);
+            if self.roll(self.config.record_duplicate_rate) {
+                self.injected.records_duplicated += 1;
+                out.push(node, hash);
+            }
+            out.push(node, hash);
         }
-        *events = out;
     }
 
-    /// Structurally corrupts one event's trace. The corruption is always
-    /// *detectable* (an empty trace or frame indices no program resolves):
-    /// corrupt records must be caught at ingest and dropped, never silently
-    /// misattributed to a real allocation path.
-    fn corrupt_event(&mut self, event: &mut AllocEvent) {
+    /// A trace node that resolves to no allocation path: the root (the
+    /// empty path) or an id no trie issues. The corruption is always
+    /// *detectable*: corrupt records must be caught at ingest and dropped,
+    /// never silently misattributed to a real allocation path.
+    fn corrupt_node(&mut self) -> TraceNodeId {
         match self.next_u64() % 3 {
-            0 => event.trace.clear(),
-            1 => {
-                if let Some(frame) = event.trace.first_mut() {
-                    frame.class_idx = u16::MAX;
-                } else {
-                    event.trace.push(TraceFrame {
-                        class_idx: u16::MAX,
-                        method_idx: 0,
-                        line: 0,
-                    });
-                }
-            }
-            _ => {
-                if let Some(frame) = event.trace.last_mut() {
-                    frame.method_idx = u16::MAX;
-                } else {
-                    event.trace.push(TraceFrame {
-                        class_idx: 0,
-                        method_idx: u16::MAX,
-                        line: 0,
-                    });
-                }
-            }
+            0 => TraceNodeId::ROOT,
+            _ => TraceNodeId::from_raw(u32::MAX),
         }
     }
 
@@ -580,94 +568,116 @@ impl JournalMedia for FaultyMedia {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polm2_heap::{ObjectId, SiteId};
+    use polm2_heap::ObjectId;
+    use polm2_runtime::{TraceFrame, TraceTrie};
 
-    fn event(line: u32) -> AllocEvent {
-        AllocEvent {
-            trace: vec![TraceFrame {
-                class_idx: 0,
-                method_idx: 0,
-                line,
-            }],
-            object: ObjectId::new(u64::from(line)),
-            hash: IdentityHash::of(ObjectId::new(u64::from(line))),
-            site: SiteId::new(0),
-            at: SimTime::ZERO,
+    /// A trie with `n` real nodes under the root, one per line.
+    fn trie_with(n: u32) -> (TraceTrie, Vec<TraceNodeId>) {
+        let mut trie = TraceTrie::new();
+        let nodes = (1..=n)
+            .map(|line| {
+                let frame = TraceFrame {
+                    class_idx: 0,
+                    method_idx: 0,
+                    line,
+                };
+                trie.child(TraceNodeId::ROOT, frame)
+            })
+            .collect();
+        (trie, nodes)
+    }
+
+    /// `len` events cycling through `nodes`, hashes of objects 0, 1, ...
+    fn batch(nodes: &[TraceNodeId], len: u64) -> AllocEventBuffer {
+        let mut batch = AllocEventBuffer::new();
+        for i in 0..len {
+            batch.push(
+                nodes[i as usize % nodes.len()],
+                IdentityHash::of(ObjectId::new(i)),
+            );
         }
+        batch
+    }
+
+    fn columns(batch: &AllocEventBuffer) -> (Vec<TraceNodeId>, Vec<IdentityHash>) {
+        (batch.nodes().to_vec(), batch.hashes().to_vec())
+    }
+
+    /// Mutates a fresh 200-event batch under `config`.
+    fn mutated(config: FaultConfig) -> ((Vec<TraceNodeId>, Vec<IdentityHash>), InjectedFaults) {
+        let (_, nodes) = trie_with(5);
+        let mut inj = FaultInjector::new(config);
+        let mut out = AllocEventBuffer::new();
+        inj.mutate_batch(&batch(&nodes, 200), &mut out);
+        (columns(&out), inj.injected())
     }
 
     #[test]
     fn inert_config_never_mutates() {
+        let (_, nodes) = trie_with(5);
+        let input = batch(&nodes, 100);
         let mut inj = FaultInjector::new(FaultConfig::default());
-        let mut events: Vec<_> = (0..100).map(event).collect();
-        let before = events.clone();
-        inj.mutate_events(&mut events);
-        assert_eq!(events, before);
+        // Stale contents in the reused scratch must not leak through.
+        let mut out = batch(&nodes, 7);
+        inj.mutate_batch(&input, &mut out);
+        assert_eq!(columns(&out), columns(&input));
         let mut text = "polm2-profile v1\n".to_string();
         inj.corrupt_profile_text(&mut text);
         assert_eq!(text, "polm2-profile v1\n");
         assert_eq!(inj.injected(), InjectedFaults::default());
         assert!(FaultConfig::default().is_inert());
+        assert!(!FaultConfig::default().mutates_records());
         assert!(!FaultConfig::all_at(0.1, 7).is_inert());
+        assert!(FaultConfig::all_at(0.1, 7).mutates_records());
+        assert!(!FaultConfig::disk_only_at(0.1, 7).mutates_records());
     }
 
     #[test]
     fn same_seed_same_faults() {
         let config = FaultConfig::all_at(0.3, 42);
-        let run = |config| {
-            let mut inj = FaultInjector::new(config);
-            let mut events: Vec<_> = (0..200).map(event).collect();
-            inj.mutate_events(&mut events);
-            (events, inj.injected())
-        };
-        let (a, ia) = run(config);
-        let (b, ib) = run(config);
+        let (a, ia) = mutated(config);
+        let (b, ib) = mutated(config);
         assert_eq!(a, b);
         assert_eq!(ia, ib);
-        let (c, _) = run(FaultConfig { seed: 43, ..config });
+        let (c, _) = mutated(FaultConfig { seed: 43, ..config });
         assert_ne!(a, c, "a different seed must produce a different stream");
     }
 
     #[test]
     fn drops_and_duplicates_are_tallied() {
-        let config = FaultConfig {
+        let ((nodes, hashes), injected) = mutated(FaultConfig {
             seed: 1,
             record_drop_rate: 0.25,
             record_duplicate_rate: 0.25,
             ..FaultConfig::default()
-        };
-        let mut inj = FaultInjector::new(config);
-        let mut events: Vec<_> = (0..400).map(event).collect();
-        inj.mutate_events(&mut events);
-        let injected = inj.injected();
+        });
         assert!(injected.records_dropped > 0);
         assert!(injected.records_duplicated > 0);
         assert_eq!(
-            events.len() as u64,
-            400 - injected.records_dropped + injected.records_duplicated
+            nodes.len() as u64,
+            200 - injected.records_dropped + injected.records_duplicated
         );
+        assert_eq!(hashes.len(), nodes.len(), "columns stay parallel");
     }
 
     #[test]
-    fn corrupted_events_never_resolve_in_any_program() {
-        let config = FaultConfig {
+    fn corrupted_events_never_resolve_in_the_trie() {
+        let (trie, nodes) = trie_with(5);
+        let mut inj = FaultInjector::new(FaultConfig {
             seed: 5,
             record_corrupt_rate: 1.0,
             ..FaultConfig::default()
-        };
-        let mut inj = FaultInjector::new(config);
-        let mut events: Vec<_> = (0..50).map(event).collect();
-        inj.mutate_events(&mut events);
+        });
+        let input = batch(&nodes, 50);
+        let mut out = AllocEventBuffer::new();
+        inj.mutate_batch(&input, &mut out);
         assert_eq!(inj.injected().records_corrupted, 50);
-        for e in &events {
-            let detectable = e.trace.is_empty()
-                || e.trace
-                    .iter()
-                    .any(|f| f.class_idx == u16::MAX || f.method_idx == u16::MAX);
+        assert_eq!(out.hashes(), input.hashes(), "only the node is garbled");
+        assert!(out.nodes().contains(&TraceNodeId::ROOT));
+        for &node in out.nodes() {
             assert!(
-                detectable,
-                "corruption must be structurally detectable: {:?}",
-                e.trace
+                node.is_root() || node.index() >= trie.len(),
+                "corruption must be structurally detectable: {node:?}"
             );
         }
     }

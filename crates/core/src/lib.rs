@@ -6,11 +6,14 @@
 //! * [`Recorder`] — a load-time agent ([`Recorder::agent`]) that instruments
 //!   every allocation site to log (stack trace, object identity hash) pairs,
 //!   plus the snapshot scheduling policy (one heap snapshot per GC cycle by
-//!   default, §3.2).
+//!   default, §3.2). The runtime buffers the pairs as columnar (trace-trie
+//!   node, hash) batches; [`Recorder::ingest`] is the one route from a batch
+//!   to interned traces and per-trace hash streams.
 //! * **Dumper** — lives in [`polm2-snapshot`]: CRIU-style incremental,
 //!   no-need-filtered heap snapshots.
 //! * [`Analyzer`] — offline: replays allocation records against the snapshot
-//!   series, estimates per-allocation-site lifetime distributions
+//!   series (one lookup per object in the snapshot index's survival table),
+//!   estimates per-allocation-site lifetime distributions
 //!   ([`SiteLifetimes`]), derives target generations, and builds the
 //!   stack-trace tree ([`SttTree`]) to detect and resolve conflicts —
 //!   allocation sites reached through call paths with different lifetimes
@@ -28,7 +31,9 @@
 //! [`RecoveryPolicy`], corrupt allocation records are dropped and counted,
 //! stale profile entries are skipped and reported. Chaos testing is built in:
 //! [`ProfilingSession::with_faults`] injects seeded, deterministic faults
-//! ([`FaultConfig`]) to exercise exactly those paths.
+//! ([`FaultConfig`]) to exercise exactly those paths — record faults mutate
+//! the drained columnar batches, so chaos runs the same ingest as
+//! production.
 //!
 //! [`polm2-snapshot`]: ../polm2_snapshot/index.html
 //!
@@ -72,9 +77,7 @@ mod recorder;
 mod sttree;
 mod symbols;
 
-pub use analyzer::{
-    AnalysisOutcome, Analyzer, AnalyzerConfig, ReplayStrategy, SiteLifetimes, TraceLifetime,
-};
+pub use analyzer::{AnalysisOutcome, Analyzer, AnalyzerConfig, SiteLifetimes, TraceLifetime};
 pub use error::PipelineError;
 pub use faults::{FaultConfig, FaultInjector, FaultyDumper, FaultyMedia, InjectedFaults};
 pub use instrumenter::{InstrumentationStats, Instrumenter};

@@ -66,8 +66,9 @@ impl AllocationRecords {
 
     /// Interns `trace` (outermost first), assigning the next dense
     /// [`TraceId`] on first sight. Symbol and trace ids depend only on
-    /// first-seen order, so any path that feeds traces in event order — a
-    /// per-event stack walk or a trie-node memo — produces identical ids.
+    /// first-seen order, so anything that feeds traces in event order — the
+    /// Recorder's trie-node memo or a plain [`record`](Self::record) per
+    /// event — produces identical ids.
     pub fn trace_id_for(&mut self, trace: &[TraceFrame]) -> TraceId {
         self.scratch.clear();
         for &frame in trace {
@@ -86,7 +87,7 @@ impl AllocationRecords {
     }
 
     /// Records one allocation against an already-interned trace: one stream
-    /// push — the steady state of the trie recorder path.
+    /// push — the Recorder's steady state.
     #[inline]
     pub fn record_traced(&mut self, id: TraceId, hash: IdentityHash) {
         self.streams[id.0 as usize].push(hash);
@@ -144,7 +145,8 @@ impl AllocationRecords {
 
 /// `node_trace` memo: node not yet seen by the Recorder.
 const NODE_UNSEEN: u32 = u32::MAX;
-/// `node_trace` memo: node failed validation; every event through it drops.
+/// `node_trace` memo: a frame on the node's path failed validation; every
+/// event through it drops.
 const NODE_CORRUPT: u32 = u32::MAX - 1;
 
 /// The Recorder component.
@@ -157,8 +159,7 @@ pub struct Recorder {
     records: Rc<RefCell<AllocationRecords>>,
     instrumented_sites: Rc<RefCell<u64>>,
     /// Memoized `trie node → TraceId` side table for
-    /// [`ingest_nodes_checked`](Recorder::ingest_nodes_checked): index is the
-    /// node id (valid because the runtime never renumbers trie nodes), value
+    /// [`ingest`](Recorder::ingest): index is the node id (valid because the runtime never renumbers trie nodes), value
     /// is a raw [`TraceId`] or a [`NODE_UNSEEN`]/[`NODE_CORRUPT`] sentinel.
     /// Steady-state ingest cost is one memo read plus one stream push.
     node_trace: Vec<u32>,
@@ -181,55 +182,23 @@ impl Recorder {
         })
     }
 
-    /// Ingests allocation events drained from the runtime.
+    /// Ingests a columnar batch of `(trace node, identity hash)` events —
+    /// one per-thread buffer drained from the runtime, or a fault
+    /// injector's mutated copy of one — and returns the number of events
+    /// dropped as corrupt.
     ///
-    /// Trusts the events structurally — use
-    /// [`ingest_checked`](Recorder::ingest_checked) for events that may have
-    /// crossed a lossy boundary.
-    pub fn ingest(&mut self, events: Vec<polm2_runtime::AllocEvent>) {
-        let mut records = self.records.borrow_mut();
-        for event in events {
-            records.record(&event.trace, event.hash);
-        }
-    }
-
-    /// Ingests events, dropping structurally corrupt ones: an event with an
-    /// empty trace or a frame that does not resolve in `program` cannot be
-    /// attributed to any allocation path, so recording it would poison the
-    /// trace table. Returns the number of events dropped.
-    pub fn ingest_checked(
-        &mut self,
-        events: Vec<polm2_runtime::AllocEvent>,
-        program: &LoadedProgram,
-    ) -> u64 {
-        let mut records = self.records.borrow_mut();
-        let mut dropped = 0;
-        for event in events {
-            let corrupt =
-                event.trace.is_empty() || event.trace.iter().any(|&f| !program.frame_is_valid(f));
-            if corrupt {
-                dropped += 1;
-                continue;
-            }
-            records.record(&event.trace, event.hash);
-        }
-        dropped
-    }
-
-    /// Ingests a columnar batch of `(trace node, identity hash)` pairs
-    /// straight from the runtime's per-thread buffers — the trie recorder
-    /// fast path, skipping trace materialization entirely.
-    ///
-    /// The first event through a node materializes its path from `trie`,
-    /// validates every frame against `program` (corrupt nodes are dropped
-    /// and counted, like [`ingest_checked`](Recorder::ingest_checked)), and
-    /// memoizes the resulting [`TraceId`]; every later event through that
-    /// node is a memo read plus a stream push. Returns the number of events
-    /// dropped.
+    /// An event through the root (the empty path) or through a node `trie`
+    /// never issued cannot be attributed to any allocation path: it is
+    /// dropped and counted, and no memo entry changes. The first event
+    /// through a real node materializes its path from `trie`, validates
+    /// every frame against `program` (a node with an unresolvable frame is
+    /// marked corrupt, and every event through it drops), and memoizes the
+    /// resulting [`TraceId`]; every later event through that node is a memo
+    /// read plus a stream push.
     ///
     /// The memo is keyed by node id, so a `Recorder` must only ever see
     /// batches from one runtime's trie (the pipeline pairs them 1:1).
-    pub fn ingest_nodes_checked(
+    pub fn ingest(
         &mut self,
         trie: &TraceTrie,
         program: &LoadedProgram,
@@ -241,8 +210,13 @@ impl Recorder {
         let mut records = self.records.borrow_mut();
         let mut dropped = 0;
         for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
-            let memo = self.node_trace[node.index()];
-            let id = match memo {
+            // A batch is outside input: reject the root and unissued ids
+            // before they index the memo or the trie.
+            if node.is_root() || node.index() >= trie.len() {
+                dropped += 1;
+                continue;
+            }
+            let id = match self.node_trace[node.index()] {
                 NODE_CORRUPT => {
                     dropped += 1;
                     continue;
@@ -250,12 +224,11 @@ impl Recorder {
                 NODE_UNSEEN => {
                     self.path_scratch.clear();
                     trie.path_into(node, &mut self.path_scratch);
-                    let corrupt = self.path_scratch.is_empty()
-                        || self
-                            .path_scratch
-                            .iter()
-                            .any(|&f| !program.frame_is_valid(f));
-                    if corrupt {
+                    if self
+                        .path_scratch
+                        .iter()
+                        .any(|&f| !program.frame_is_valid(f))
+                    {
                         self.node_trace[node.index()] = NODE_CORRUPT;
                         dropped += 1;
                         continue;
@@ -346,7 +319,7 @@ fn instrument_block(block: &mut Vec<Instr>, count: &mut u64) {
 mod tests {
     use super::*;
     use polm2_heap::ObjectId;
-    use polm2_runtime::{MethodDef, Program, SizeSpec};
+    use polm2_runtime::{MethodDef, Program, SizeSpec, TraceNodeId};
 
     fn frame(line: u32) -> TraceFrame {
         TraceFrame {
@@ -413,14 +386,13 @@ mod tests {
 
     #[test]
     fn into_records_round_trips() {
+        let program = one_alloc_program();
+        let mut trie = TraceTrie::new();
+        let node = trie.child(TraceNodeId::ROOT, frame(1));
+        let mut batch = AllocEventBuffer::new();
+        batch.push(node, hash(7));
         let mut recorder = Recorder::new();
-        recorder.ingest(vec![polm2_runtime::AllocEvent {
-            trace: vec![frame(4)],
-            object: ObjectId::new(7),
-            hash: IdentityHash::of(ObjectId::new(7)),
-            site: polm2_heap::SiteId::new(0),
-            at: polm2_metrics::SimTime::ZERO,
-        }]);
+        assert_eq!(recorder.ingest(&trie, &program, &batch), 0);
         let records = recorder.into_records().unwrap();
         assert_eq!(records.total_records(), 1);
         assert_eq!(records.trace_count(), 1);
@@ -437,10 +409,13 @@ mod tests {
         drop(second_ref);
     }
 
-    #[test]
-    fn ingest_checked_drops_corrupt_events_and_counts_them() {
+    fn hash(i: u64) -> IdentityHash {
+        IdentityHash::of(ObjectId::new(i))
+    }
+
+    /// `A.m` allocating at line 1: frames resolve only at class 0, method 0.
+    fn one_alloc_program() -> polm2_runtime::LoadedProgram {
         use polm2_heap::{Heap, HeapConfig};
-        use polm2_runtime::Loader;
         let mut program = Program::new();
         program.add_class(
             ClassDef::new("A").with_method(MethodDef::new("m").push(Instr::alloc(
@@ -450,47 +425,75 @@ mod tests {
             ))),
         );
         let mut heap = Heap::new(HeapConfig::small());
-        let loaded = Loader::load(program, &mut [], &mut heap).unwrap();
+        polm2_runtime::Loader::load(program, &mut [], &mut heap).unwrap()
+    }
 
-        let ev = |trace: Vec<TraceFrame>, i: u64| polm2_runtime::AllocEvent {
-            trace,
-            object: ObjectId::new(i),
-            hash: IdentityHash::of(ObjectId::new(i)),
-            site: polm2_heap::SiteId::new(0),
-            at: polm2_metrics::SimTime::ZERO,
-        };
+    /// Ingests `nodes` (one event each, hashes 1, 2, ...) and returns the
+    /// drop count plus the records.
+    fn ingest_nodes(trie: &TraceTrie, nodes: &[TraceNodeId]) -> (u64, AllocationRecords) {
+        let mut batch = AllocEventBuffer::new();
+        for (i, &node) in nodes.iter().enumerate() {
+            batch.push(node, hash(i as u64 + 1));
+        }
         let mut recorder = Recorder::new();
-        let dropped = recorder.ingest_checked(
-            vec![
-                ev(
-                    vec![TraceFrame {
-                        class_idx: 0,
-                        method_idx: 0,
-                        line: 1,
-                    }],
-                    1,
-                ),
-                ev(vec![], 2),
-                ev(
-                    vec![TraceFrame {
-                        class_idx: u16::MAX,
-                        method_idx: 0,
-                        line: 1,
-                    }],
-                    3,
-                ),
-                ev(
-                    vec![TraceFrame {
-                        class_idx: 0,
-                        method_idx: u16::MAX,
-                        line: 1,
-                    }],
-                    4,
-                ),
-            ],
-            &loaded,
+        let dropped = recorder.ingest(trie, &one_alloc_program(), &batch);
+        (dropped, recorder.into_records().unwrap())
+    }
+
+    #[test]
+    fn ingest_drops_nodes_with_unresolvable_frames_and_counts_them() {
+        let mut trie = TraceTrie::new();
+        let valid = trie.child(TraceNodeId::ROOT, frame(1));
+        let bad_class = trie.child(
+            TraceNodeId::ROOT,
+            TraceFrame {
+                class_idx: u16::MAX,
+                method_idx: 0,
+                line: 1,
+            },
         );
-        assert_eq!(dropped, 3);
-        assert_eq!(recorder.records().total_records(), 1);
+        let bad_method = trie.child(
+            valid,
+            TraceFrame {
+                class_idx: 0,
+                method_idx: u16::MAX,
+                line: 1,
+            },
+        );
+        let (dropped, records) =
+            ingest_nodes(&trie, &[valid, bad_class, bad_method, bad_class, valid]);
+        assert_eq!(dropped, 3, "every event through a corrupt node drops");
+        assert_eq!(records.total_records(), 2);
+        assert_eq!(records.trace_count(), 1);
+        let id = records.trace_ids().next().unwrap();
+        assert_eq!(records.stream(id), &[hash(1), hash(5)]);
+    }
+
+    #[test]
+    fn ingest_drops_an_unissued_node_instead_of_panicking() {
+        let mut trie = TraceTrie::new();
+        let valid = trie.child(TraceNodeId::ROOT, frame(1));
+        let unissued = [
+            TraceNodeId::from_raw(trie.len() as u32),
+            TraceNodeId::from_raw(u32::MAX),
+        ];
+        let (dropped, records) = ingest_nodes(&trie, &[unissued[0], unissued[1], valid]);
+        assert_eq!(dropped, 2);
+        assert_eq!(records.total_records(), 1, "a later real event records");
+        let id = records.trace_ids().next().unwrap();
+        assert_eq!(records.trace(id), &[frame(1)]);
+        assert_eq!(records.stream(id), &[hash(3)]);
+    }
+
+    #[test]
+    fn ingest_drops_the_root_node_without_poisoning_real_ones() {
+        let mut trie = TraceTrie::new();
+        let valid = trie.child(TraceNodeId::ROOT, frame(1));
+        let (dropped, records) =
+            ingest_nodes(&trie, &[TraceNodeId::ROOT, valid, TraceNodeId::ROOT, valid]);
+        assert_eq!(dropped, 2, "the empty path is attributable to nothing");
+        assert_eq!(records.total_records(), 2);
+        let id = records.trace_ids().next().unwrap();
+        assert_eq!(records.stream(id), &[hash(2), hash(4)]);
     }
 }

@@ -8,14 +8,15 @@
 //! errors or counted skips.
 
 use polm2_core::{
-    AllocationProfile, AnalyzerConfig, FaultConfig, ProfileParseError, ProfilingSession,
-    SnapshotPolicy,
+    AllocationProfile, AnalyzerConfig, FaultConfig, InjectedFaults, ProfileParseError,
+    ProfilingReport, ProfilingSession, SnapshotPolicy,
 };
 use polm2_metrics::FaultCounters;
 use polm2_runtime::{
     ClassDef, CodeLoc, HookAction, HookRegistry, Instr, Jvm, MethodDef, Program, RuntimeConfig,
     SizeSpec,
 };
+use polm2_snapshot::journal::crc32;
 
 /// A memtable-style toy workload: `put` cells that live until `flush`, plus
 /// `scratch` garbage — enough lifetime contrast for the Analyzer to pretenure
@@ -63,8 +64,9 @@ fn workload_hooks() -> HookRegistry {
     h
 }
 
-/// Runs the profiling phase to completion and returns what it produced.
-fn run_profiling(session: ProfilingSession) -> (AllocationProfile, FaultCounters) {
+/// Runs the profiling phase to completion and returns its report plus the
+/// injector's ground truth (for chaos sessions).
+fn run_session(session: ProfilingSession) -> (ProfilingReport, Option<InjectedFaults>) {
     let mut session = session;
     let mut jvm = Jvm::builder(RuntimeConfig::small())
         .hooks(workload_hooks())
@@ -84,9 +86,16 @@ fn run_profiling(session: ProfilingSession) -> (AllocationProfile, FaultCounters
             jvm.invoke(t, "Store", "flush").expect("flush");
         }
     }
+    let injected = session.injected_faults();
     let report = session
         .finish(&mut jvm, &AnalyzerConfig::default())
         .expect("finish");
+    (report, injected)
+}
+
+/// Runs the profiling phase to completion and returns what it produced.
+fn run_profiling(session: ProfilingSession) -> (AllocationProfile, FaultCounters) {
+    let (report, _) = run_session(session);
     (report.outcome.profile, report.counters)
 }
 
@@ -132,35 +141,11 @@ fn ten_percent_chaos_completes_and_degrades_monotonically() {
     assert!(!clean_sites.is_empty());
 
     for seed in [3u64, 17, 99] {
-        let session = ProfilingSession::with_faults(
+        let (report, injected) = run_session(ProfilingSession::with_faults(
             SnapshotPolicy::default(),
             chaos_without_duplication(0.10, seed),
-        );
-        let mut session = session;
-        let mut jvm = Jvm::builder(RuntimeConfig::small())
-            .hooks(workload_hooks())
-            .transformer(session.recorder_agent())
-            .build(workload_program())
-            .expect("boot");
-        let t = jvm.spawn_thread();
-        for batch in 0..9 {
-            for _ in 0..300 {
-                jvm.invoke(t, "Store", "put").expect("put");
-                for _ in 0..8 {
-                    jvm.invoke(t, "Store", "scratch").expect("scratch");
-                }
-                session
-                    .after_op(&mut jvm)
-                    .expect("default recovery absorbs faults");
-            }
-            if batch % 3 == 2 {
-                jvm.invoke(t, "Store", "flush").expect("flush");
-            }
-        }
-        let injected = session.injected_faults().expect("chaos session");
-        let report = session
-            .finish(&mut jvm, &AnalyzerConfig::default())
-            .expect("finish");
+        ));
+        let injected = injected.expect("chaos session");
 
         // Faults actually fired, and the detected ledger is consistent with
         // the injected ground truth: every structurally corrupt record was
@@ -187,6 +172,91 @@ fn ten_percent_chaos_completes_and_degrades_monotonically() {
                 "seed {seed}: chaos invented a pretenured site {loc} not in the fault-free set"
             );
         }
+    }
+}
+
+/// Golden fingerprints of the degradation seeds, taken before fault
+/// injection moved onto the columnar batch: the rendered profile's CRC-32,
+/// a CRC-32 of the lifetimes' debug form, and the literal fault ledgers.
+/// The injector draws in event order, so a change to the drain order, the
+/// draw sequence or ingest moves at least one of them.
+#[test]
+fn degradation_seeds_match_their_golden_fingerprints() {
+    let golden = |lifetimes_crc: u32, counters: FaultCounters, injected: InjectedFaults| {
+        (0x1ddc_e91b_u32, lifetimes_crc, counters, injected)
+    };
+    let expected = [
+        (
+            3u64,
+            golden(
+                0x733e_e288,
+                FaultCounters {
+                    snapshots_failed: 3,
+                    snapshot_retries: 3,
+                    records_dropped_corrupt: 2243,
+                    ..FaultCounters::new()
+                },
+                InjectedFaults {
+                    snapshot_failures: 3,
+                    snapshots_truncated: 1,
+                    hashes_lost: 132,
+                    records_dropped: 2455,
+                    records_corrupted: 2243,
+                    ..InjectedFaults::default()
+                },
+            ),
+        ),
+        (
+            17,
+            golden(
+                0x3787_0a68,
+                FaultCounters {
+                    snapshots_failed: 1,
+                    snapshot_retries: 1,
+                    records_dropped_corrupt: 2178,
+                    ..FaultCounters::new()
+                },
+                InjectedFaults {
+                    snapshot_failures: 1,
+                    records_dropped: 2421,
+                    records_corrupted: 2178,
+                    ..InjectedFaults::default()
+                },
+            ),
+        ),
+        (
+            99,
+            golden(
+                0x6d5d_551f,
+                FaultCounters {
+                    snapshots_failed: 1,
+                    snapshot_retries: 1,
+                    records_dropped_corrupt: 2208,
+                    ..FaultCounters::new()
+                },
+                InjectedFaults {
+                    snapshot_failures: 1,
+                    snapshots_truncated: 2,
+                    hashes_lost: 536,
+                    records_dropped: 2378,
+                    records_corrupted: 2208,
+                    ..InjectedFaults::default()
+                },
+            ),
+        ),
+    ];
+    for (seed, expected) in expected {
+        let (report, injected) = run_session(ProfilingSession::with_faults(
+            SnapshotPolicy::default(),
+            chaos_without_duplication(0.10, seed),
+        ));
+        let actual = (
+            crc32(report.outcome.profile.to_string().as_bytes()),
+            crc32(format!("{:?}", report.outcome.lifetimes).as_bytes()),
+            report.counters,
+            injected.expect("chaos session"),
+        );
+        assert_eq!(actual, expected, "seed {seed}");
     }
 }
 

@@ -1,23 +1,24 @@
-//! Property suite for the Analyzer's determinism contract: replay strategy
-//! and parallelism level are pure performance knobs — for any input, every
-//! (strategy × parallelism) combination must produce an
-//! [`AnalysisOutcome`] identical to the sequential hash-probe baseline,
-//! including under seeded fault injection.
+//! The Analyzer's per-trace lifetime statistics checked against a
+//! brute-force oracle: for every recorded object, count the snapshots
+//! containing its hash with [`SnapshotSeries::appearances`] (one hash-set
+//! probe per snapshot — the seed's replay, kept here as the test-side
+//! oracle), then recount each trace's histogram, object count and median
+//! survival from scratch. The Analyzer reads the same counts off the
+//! snapshot index's merged survival table instead; any disagreement is a
+//! replay bug.
 //!
 //! `proptest` is not available offline, so the generator is a hand-rolled
 //! deterministic xorshift: each seed yields one reproducible random workload
 //! (program shape, trace depths, object counts, lifespans), and the property
 //! is checked across a spread of seeds.
 
-use polm2_core::{
-    AllocationRecords, AnalysisOutcome, Analyzer, AnalyzerConfig, FaultConfig, ProfilingSession,
-    ReplayStrategy, SnapshotPolicy,
-};
+use std::collections::BTreeMap;
+
+use polm2_core::{AllocationRecords, AnalysisOutcome, Analyzer, AnalyzerConfig};
 use polm2_heap::{Heap, HeapConfig, IdentityHash, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
 use polm2_runtime::{
-    ClassDef, HookAction, HookRegistry, Instr, Jvm, LoadedProgram, Loader, MethodDef, Program,
-    RuntimeConfig, SizeSpec, TraceFrame,
+    ClassDef, Instr, LoadedProgram, Loader, MethodDef, Program, SizeSpec, TraceFrame,
 };
 use polm2_snapshot::{Snapshot, SnapshotSeries};
 
@@ -96,179 +97,98 @@ fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgr
     (records, series, loaded)
 }
 
-fn analyze_with(
+/// The thresholds every check runs under: `min_survivals: 1` so that
+/// short-lived traces also reach the generation mapping.
+const CONFIG: AnalyzerConfig = AnalyzerConfig {
+    min_survivals: 1,
+    min_objects: 4,
+    min_snapshots: 2,
+};
+
+/// Analyzes the inputs and checks every trace's statistics against the
+/// brute-force recount; returns the outcome for further checks.
+fn analyze_and_check(
     records: &AllocationRecords,
     series: &SnapshotSeries,
     program: &LoadedProgram,
-    replay: ReplayStrategy,
-    parallelism: usize,
 ) -> AnalysisOutcome {
-    Analyzer::new(AnalyzerConfig {
-        replay,
-        parallelism,
-        min_survivals: 1,
-        ..AnalyzerConfig::default()
-    })
-    .analyze(records, series, program)
+    let outcome = Analyzer::new(CONFIG).analyze(records, series, program);
+    let lifetimes = outcome.lifetimes.traces();
+    assert_eq!(
+        lifetimes.len(),
+        records.trace_count(),
+        "one lifetime per trace"
+    );
+    let under_observed = (series.len() as u32) < CONFIG.min_snapshots;
+    let mut classes: Vec<u32> = Vec::new();
+    for (lifetime, id) in lifetimes.iter().zip(records.trace_ids()) {
+        assert_eq!(lifetime.trace, id, "lifetimes in trace-id order");
+        let mut survivals: Vec<u32> = records
+            .stream(id)
+            .iter()
+            .map(|&hash| series.appearances(hash) as u32)
+            .collect();
+        let mut histogram = BTreeMap::new();
+        for &s in &survivals {
+            *histogram.entry(s).or_insert(0u64) += 1;
+        }
+        // The weighted median is the lower median of the sorted counts.
+        survivals.sort_unstable();
+        let typical = survivals[(survivals.len() - 1) / 2];
+        assert_eq!(lifetime.objects, survivals.len() as u64, "trace {id:?}");
+        assert_eq!(lifetime.histogram, histogram, "trace {id:?}");
+        assert_eq!(lifetime.typical_survivals, typical, "trace {id:?}");
+        let pretenured = !under_observed
+            && lifetime.objects >= CONFIG.min_objects
+            && typical >= CONFIG.min_survivals;
+        assert_eq!(!lifetime.gen.is_young(), pretenured, "trace {id:?}");
+        if pretenured {
+            classes.push(typical.ilog2());
+        }
+    }
+    // Lifetime classes map, in increasing order, onto generations 2, 3, ...
+    classes.sort_unstable();
+    classes.dedup();
+    for lifetime in lifetimes.iter().filter(|t| !t.gen.is_young()) {
+        let class = lifetime.typical_survivals.ilog2();
+        let rank = classes.binary_search(&class).expect("a pretenured class");
+        assert_eq!(
+            lifetime.gen.raw(),
+            2 + rank as u32,
+            "trace {:?}",
+            lifetime.trace
+        );
+    }
+    outcome
 }
 
 #[test]
-fn every_strategy_and_parallelism_matches_the_sequential_baseline() {
+fn seeded_workloads_match_the_brute_force_recount() {
     for seed in [1u64, 7, 42, 1234, 0xdead_beef] {
         let (records, series, program) = random_workload(seed);
-        let baseline = analyze_with(&records, &series, &program, ReplayStrategy::HashProbe, 1);
+        let outcome = analyze_and_check(&records, &series, &program);
         assert!(
-            !baseline.lifetimes.traces().is_empty(),
+            !outcome.lifetimes.traces().is_empty(),
             "seed {seed}: generator produced a trivial workload"
         );
-        for replay in [ReplayStrategy::HashProbe, ReplayStrategy::SortedMerge] {
-            for parallelism in [1usize, 2, 4, 8] {
-                let outcome = analyze_with(&records, &series, &program, replay, parallelism);
-                assert_eq!(
-                    outcome, baseline,
-                    "seed {seed}: {replay:?} x parallelism={parallelism} diverged"
-                );
-            }
-        }
+        assert!(
+            !outcome.profile.is_empty(),
+            "seed {seed}: nothing pretenured, the generation checks ran idle"
+        );
     }
 }
 
 #[test]
-fn degenerate_inputs_are_handled_identically() {
+fn degenerate_inputs_match_the_brute_force_recount() {
+    // Empty snapshot series: every object survives zero snapshots, and the
+    // under-observed guard keeps every trace young.
     let (records, _, program) = random_workload(3);
-    // Empty snapshot series.
-    let empty = SnapshotSeries::new();
-    let base = analyze_with(&records, &empty, &program, ReplayStrategy::HashProbe, 1);
-    for parallelism in [2, 8] {
-        assert_eq!(
-            analyze_with(
-                &records,
-                &empty,
-                &program,
-                ReplayStrategy::SortedMerge,
-                parallelism
-            ),
-            base
-        );
-    }
+    let outcome = analyze_and_check(&records, &SnapshotSeries::new(), &program);
+    assert!(!outcome.lifetimes.traces().is_empty());
+    assert!(outcome.profile.is_empty());
     // Empty records.
     let (_, series, program) = random_workload(4);
-    let none = AllocationRecords::default();
-    let base = analyze_with(&none, &series, &program, ReplayStrategy::HashProbe, 1);
-    assert_eq!(
-        analyze_with(&none, &series, &program, ReplayStrategy::SortedMerge, 8),
-        base
-    );
-    assert!(base.profile.is_empty());
-}
-
-// ---------------------------------------------------------------------------
-// The same contract end-to-end: a full profiling session under seeded fault
-// injection, analyzed with different knobs, must produce identical outcomes
-// (the faults are deterministic per seed, so the Analyzer sees identical
-// evidence — the knobs must not re-order or re-weigh it).
-// ---------------------------------------------------------------------------
-
-fn workload_program() -> Program {
-    let mut p = Program::new();
-    p.add_class(
-        ClassDef::new("Store")
-            .with_method(
-                MethodDef::new("put")
-                    .push(Instr::call("Cell", "create", 10))
-                    .push(Instr::native("insert", 11)),
-            )
-            .with_method(MethodDef::new("scratch").push(Instr::alloc(
-                "Tmp",
-                SizeSpec::Fixed(512),
-                20,
-            )))
-            .with_method(MethodDef::new("flush").push(Instr::native("flush", 30))),
-    );
-    p.add_class(
-        ClassDef::new("Cell").with_method(MethodDef::new("create").push(Instr::alloc(
-            "Cell",
-            SizeSpec::Fixed(1024),
-            5,
-        ))),
-    );
-    p
-}
-
-fn workload_hooks() -> HookRegistry {
-    let mut h = HookRegistry::new();
-    h.register_action("insert", |ctx| {
-        let obj = ctx.acc.expect("cell before insert");
-        let slot = ctx.heap.roots_mut().create_slot("memtable");
-        ctx.heap.roots_mut().push(slot, obj);
-        HookAction::default()
-    });
-    h.register_action("flush", |ctx| {
-        if let Some(slot) = ctx.heap.roots().find_slot("memtable") {
-            ctx.heap.roots_mut().clear_slot(slot);
-        }
-        HookAction::default()
-    });
-    h
-}
-
-fn run_chaos_profiling(fault_seed: u64, config: &AnalyzerConfig) -> AnalysisOutcome {
-    let mut session = ProfilingSession::with_faults(
-        SnapshotPolicy::default(),
-        FaultConfig {
-            record_duplicate_rate: 0.0,
-            ..FaultConfig::all_at(0.10, fault_seed)
-        },
-    );
-    let mut jvm = Jvm::builder(RuntimeConfig::small())
-        .hooks(workload_hooks())
-        .transformer(session.recorder_agent())
-        .build(workload_program())
-        .expect("boot");
-    let t = jvm.spawn_thread();
-    for batch in 0..6 {
-        for _ in 0..200 {
-            jvm.invoke(t, "Store", "put").expect("put");
-            for _ in 0..4 {
-                jvm.invoke(t, "Store", "scratch").expect("scratch");
-            }
-            session.after_op(&mut jvm).expect("after_op absorbs faults");
-        }
-        if batch % 3 == 2 {
-            jvm.invoke(t, "Store", "flush").expect("flush");
-        }
-    }
-    session.finish(&mut jvm, config).expect("finish").outcome
-}
-
-#[test]
-fn chaos_sessions_agree_across_strategies_and_parallelism() {
-    for fault_seed in [11u64, 23] {
-        let baseline = run_chaos_profiling(
-            fault_seed,
-            &AnalyzerConfig {
-                replay: ReplayStrategy::HashProbe,
-                parallelism: 1,
-                ..AnalyzerConfig::default()
-            },
-        );
-        for (replay, parallelism) in [
-            (ReplayStrategy::SortedMerge, 1),
-            (ReplayStrategy::SortedMerge, 4),
-            (ReplayStrategy::HashProbe, 8),
-        ] {
-            let outcome = run_chaos_profiling(
-                fault_seed,
-                &AnalyzerConfig {
-                    replay,
-                    parallelism,
-                    ..AnalyzerConfig::default()
-                },
-            );
-            assert_eq!(
-                outcome, baseline,
-                "fault seed {fault_seed}: {replay:?} x parallelism={parallelism} diverged under chaos"
-            );
-        }
-    }
+    let outcome = analyze_and_check(&AllocationRecords::default(), &series, &program);
+    assert!(outcome.lifetimes.traces().is_empty());
+    assert!(outcome.profile.is_empty());
 }

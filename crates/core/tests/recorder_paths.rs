@@ -1,23 +1,40 @@
-//! Determinism suite for the two recorder paths: `RecorderPath::StackWalk`
-//! (the seed behavior — walk the stack, materialize a `Vec<TraceFrame>` per
-//! allocation) and `RecorderPath::TraceTrie` (the O(1) incremental path)
-//! must produce **identical** `AllocationRecords` — same trace ids, same
-//! frames, same identity-hash streams in the same order — and identical
-//! final profiles, for any workload, drain schedule, and fault seed.
+//! The Recorder checked against an independent oracle, plus golden
+//! fingerprints of full profiling sessions.
 //!
-//! The contract holds because both paths buffer events per thread and drain
-//! them in thread order, and trace/symbol interning depends only on
-//! first-seen event order.
+//! The oracle never looks at the runtime's frame stack or trace trie. A walk
+//! of the source `Program` gives every invocation's allocation paths as
+//! `CodeLoc`s (caller frames at their call lines, the site at its alloc
+//! line); a forwarding `Collector` logs each thread's allocation hashes in
+//! order; and the drain schedule (threads in order at each drain) interleaves
+//! the two. The records must match it trace by trace: trace-id order,
+//! resolved paths and identity-hash streams.
+//!
+//! The golden fingerprints pin full sessions — fault-free and under chaos —
+//! to what the recorder produced before fault injection moved onto the
+//! columnar batch: the rendered profile's CRC-32, a CRC-32 of the lifetimes'
+//! debug form, and the literal fault ledgers. Fault draws happen in event
+//! order, so any change to the drain order, the draw sequence or ingest
+//! moves at least one of them.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
 
 use polm2_core::{
-    AllocationRecords, AnalysisOutcome, AnalyzerConfig, FaultConfig, ProfilingSession, Recorder,
+    AnalysisOutcome, AnalyzerConfig, FaultConfig, InjectedFaults, ProfilingSession, Recorder,
     SnapshotPolicy,
 };
-use polm2_heap::IdentityHash;
-use polm2_runtime::{
-    ClassDef, HookAction, HookRegistry, Instr, Jvm, MethodDef, Program, RecorderPath,
-    RuntimeConfig, SizeSpec, TraceFrame,
+use polm2_gc::{
+    AllocOutcome, AllocRequest, Collector, G1Collector, GcConfig, GcError, PauseEvent,
+    SafepointRoots, ThreadId,
 };
+use polm2_heap::{GenId, Heap, IdentityHash};
+use polm2_metrics::FaultCounters;
+use polm2_runtime::{
+    ClassDef, CodeLoc, HookAction, HookRegistry, Instr, Jvm, MethodDef, Program, RuntimeConfig,
+    SizeSpec,
+};
+use polm2_snapshot::journal::crc32;
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -26,32 +43,6 @@ fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x
-}
-
-/// Everything observable about an `AllocationRecords`: per trace id, the
-/// materialized frames and the identity-hash stream, in id order.
-type Fingerprint = (u64, Vec<(Vec<TraceFrame>, Vec<IdentityHash>)>);
-
-fn fingerprint(records: &AllocationRecords) -> Fingerprint {
-    let per_trace = records
-        .trace_ids()
-        .map(|id| (records.trace(id), records.stream(id).to_vec()))
-        .collect();
-    (records.total_records(), per_trace)
-}
-
-/// Drains the runtime into the recorder the way the pipeline does: columnar
-/// fast path for trie-form buffers, materialized path for stack-walk events.
-fn drain(recorder: &mut Recorder, jvm: &mut Jvm) -> u64 {
-    let mut dropped = 0;
-    jvm.drain_alloc_batches(|trie, program, batch| {
-        dropped += recorder.ingest_nodes_checked(trie, program, batch);
-    });
-    if jvm.has_pending_alloc_events() {
-        let events = jvm.drain_alloc_events();
-        dropped += recorder.ingest_checked(events, jvm.program());
-    }
-    dropped
 }
 
 /// A seeded random call graph: methods allocate and call strictly-later
@@ -113,39 +104,188 @@ fn deep_program(depth: usize) -> Program {
     program
 }
 
-/// Runs `program` on two threads under the given recorder path, draining
-/// every `stride` operations (and once at the end), and returns the
-/// resulting records. The op sequence is a pure function of `seed`.
-fn run_records(
-    path: RecorderPath,
+/// Appends to `out` the allocation paths one invocation of `class.method`
+/// takes, in execution order, read straight off the source program:
+/// `callers` (each frozen at its call line), then the site at its alloc
+/// line.
+fn alloc_paths(
+    program: &Program,
+    class: &str,
+    method: &str,
+    callers: &mut Vec<CodeLoc>,
+    out: &mut Vec<Vec<CodeLoc>>,
+) {
+    let body = &program
+        .class(class)
+        .and_then(|c| c.method(method))
+        .expect("invoked method exists")
+        .body;
+    for instr in body {
+        match instr {
+            Instr::Alloc { line, .. } => {
+                let mut path = callers.clone();
+                path.push(CodeLoc::new(class, method, *line));
+                out.push(path);
+            }
+            Instr::Call {
+                class: callee,
+                method: callee_method,
+                line,
+            } => {
+                callers.push(CodeLoc::new(class, method, *line));
+                alloc_paths(program, callee, callee_method, callers, out);
+                callers.pop();
+            }
+            other => panic!("the generators emit only allocs and calls, not {other:?}"),
+        }
+    }
+}
+
+/// Forwards to a real collector and logs, per thread, the identity hash of
+/// every object it hands out: the order the Recorder must see them in.
+#[derive(Debug)]
+struct HashLog {
+    inner: Box<dyn Collector>,
+    hashes: Rc<RefCell<Vec<Vec<IdentityHash>>>>,
+}
+
+impl Collector for HashLog {
+    fn name(&self) -> &'static str {
+        "hash-log"
+    }
+
+    fn attach(&mut self, heap: &mut Heap) {
+        self.inner.attach(heap);
+    }
+
+    fn alloc(
+        &mut self,
+        heap: &mut Heap,
+        req: AllocRequest,
+        roots: &SafepointRoots<'_>,
+    ) -> Result<AllocOutcome, GcError> {
+        let thread = req.thread.raw() as usize;
+        let outcome = self.inner.alloc(heap, req, roots)?;
+        let hash = heap
+            .object(outcome.object)
+            .expect("freshly allocated object")
+            .identity_hash();
+        let mut hashes = self.hashes.borrow_mut();
+        if hashes.len() <= thread {
+            hashes.resize(thread + 1, Vec::new());
+        }
+        hashes[thread].push(hash);
+        Ok(outcome)
+    }
+
+    fn collect(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Vec<PauseEvent> {
+        self.inner.collect(heap, roots)
+    }
+
+    fn new_generation(&mut self, heap: &mut Heap) -> GenId {
+        self.inner.new_generation(heap)
+    }
+
+    fn set_target_gen(&mut self, thread: ThreadId, gen: GenId) -> Result<GenId, GcError> {
+        self.inner.set_target_gen(thread, gen)
+    }
+
+    fn target_gen(&self, thread: ThreadId) -> GenId {
+        self.inner.target_gen(thread)
+    }
+}
+
+/// Per trace id, in id order: the resolved path and the hash stream.
+type Traces = Vec<(Vec<CodeLoc>, Vec<IdentityHash>)>;
+
+/// The expected records for an event stream: traces numbered in first-seen
+/// order, each with its hashes in event order.
+fn oracle_traces(events: &[(Vec<CodeLoc>, IdentityHash)]) -> Traces {
+    let mut index: HashMap<&[CodeLoc], usize> = HashMap::new();
+    let mut traces: Traces = Vec::new();
+    for (path, hash) in events {
+        let i = *index.entry(path).or_insert_with(|| {
+            traces.push((path.clone(), Vec::new()));
+            traces.len() - 1
+        });
+        traces[i].1.push(*hash);
+    }
+    traces
+}
+
+/// Runs `program` on two threads, draining every `stride` operations (and
+/// once at the end), and checks the records against the oracle. The op
+/// sequence is a pure function of `seed`. Returns the number of records.
+fn check_against_oracle(
     program: Program,
     entries: &[(String, String)],
     seed: u64,
     ops: usize,
     stride: usize,
-) -> AllocationRecords {
+) -> u64 {
+    let hashes = Rc::new(RefCell::new(Vec::new()));
+    let collector = HashLog {
+        inner: Box::new(G1Collector::new(GcConfig::default())),
+        hashes: Rc::clone(&hashes),
+    };
     let mut recorder = Recorder::new();
-    let mut jvm = Jvm::builder(RuntimeConfig::small().with_recorder(path))
+    let mut jvm = Jvm::builder(RuntimeConfig::small())
+        .collector(Box::new(collector))
         .transformer(recorder.agent())
-        .build(program)
+        .build(program.clone())
         .expect("boot");
     let threads = [jvm.spawn_thread(), jvm.spawn_thread()];
+
+    // Per thread, the oracle's paths not yet drained and how many of the
+    // thread's logged hashes earlier drains consumed.
+    let mut undrained: [Vec<Vec<CodeLoc>>; 2] = Default::default();
+    let mut consumed = [0usize; 2];
+    let mut expected: Vec<(Vec<CodeLoc>, IdentityHash)> = Vec::new();
+    let mut drain = |jvm: &mut Jvm, undrained: &mut [Vec<Vec<CodeLoc>>; 2]| {
+        let mut dropped = 0;
+        jvm.drain_alloc_batches(|trie, program, batch| {
+            dropped += recorder.ingest(trie, program, batch);
+        });
+        assert_eq!(dropped, 0, "no corrupt events");
+        let hashes = hashes.borrow();
+        for (t, paths) in undrained.iter_mut().enumerate() {
+            let logged = hashes.get(t).map_or(&[][..], |h| &h[consumed[t]..]);
+            assert_eq!(paths.len(), logged.len(), "one hash per allocation path");
+            expected.extend(paths.drain(..).zip(logged.iter().copied()));
+            consumed[t] += logged.len();
+        }
+    };
+
     let mut rng = seed | 1;
     for op in 0..ops {
-        let t = threads[(xorshift(&mut rng) % 2) as usize];
+        let t = (xorshift(&mut rng) % 2) as usize;
         let (class, method) = &entries[xorshift(&mut rng) as usize % entries.len()];
-        jvm.invoke(t, class, method).expect("invoke");
+        jvm.invoke(threads[t], class, method).expect("invoke");
+        alloc_paths(&program, class, method, &mut Vec::new(), &mut undrained[t]);
         if (op + 1) % stride == 0 {
-            assert_eq!(drain(&mut recorder, &mut jvm), 0, "no corrupt events");
+            drain(&mut jvm, &mut undrained);
         }
     }
-    assert_eq!(drain(&mut recorder, &mut jvm), 0);
+    drain(&mut jvm, &mut undrained);
     assert!(!jvm.has_pending_alloc_events());
-    recorder.into_records().expect("sole owner")
+
+    let records = recorder.into_records().expect("sole owner");
+    let actual: Traces = records
+        .trace_ids()
+        .map(|id| {
+            (
+                records.resolve_trace(id, jvm.program()),
+                records.stream(id).to_vec(),
+            )
+        })
+        .collect();
+    assert_eq!(actual, oracle_traces(&expected));
+    assert_eq!(records.total_records(), expected.len() as u64);
+    records.total_records()
 }
 
 #[test]
-fn seeded_random_sessions_agree_across_paths_and_drain_schedules() {
+fn seeded_random_sessions_match_the_oracle_at_every_drain_stride() {
     for seed in [1u64, 42, 0xdead_beef] {
         let program = random_program(seed);
         let entries: Vec<(String, String)> = program
@@ -153,53 +293,28 @@ fn seeded_random_sessions_agree_across_paths_and_drain_schedules() {
             .iter()
             .map(|c| (c.name.clone(), c.methods[0].name.clone()))
             .collect();
-        // Finish-only (stride > ops), frequent, and ragged drains: each
-        // schedule must agree across paths (drains happen at the same
-        // points in both runs).
+        // Every-op, ragged, and finish-only (stride > ops) drains.
         for stride in [1usize, 7, usize::MAX] {
-            let walk = run_records(
-                RecorderPath::StackWalk,
-                program.clone(),
-                &entries,
-                seed,
-                120,
-                stride,
-            );
-            let trie = run_records(
-                RecorderPath::TraceTrie,
-                program.clone(),
-                &entries,
-                seed,
-                120,
-                stride,
-            );
-            assert!(walk.total_records() > 0, "seed {seed}: trivial workload");
-            assert_eq!(
-                fingerprint(&walk),
-                fingerprint(&trie),
-                "seed {seed} stride {stride}: paths diverged"
-            );
+            let records = check_against_oracle(program.clone(), &entries, seed, 120, stride);
+            assert!(records > 0, "seed {seed}: trivial workload");
         }
     }
 }
 
 #[test]
-fn deep_recursion_agrees_across_paths() {
-    // A 200-deep chain under the default max_stack_depth of 256.
-    let program = deep_program(200);
+fn deep_recursion_matches_the_oracle() {
+    // A 200-deep chain under the default max_stack_depth of 256: one unique
+    // 200-frame trace.
     let entries = vec![("Deep".to_string(), "m0".to_string())];
-    let walk = run_records(RecorderPath::StackWalk, program.clone(), &entries, 9, 40, 3);
-    let trie = run_records(RecorderPath::TraceTrie, program, &entries, 9, 40, 3);
-    assert_eq!(walk.total_records(), 40);
-    assert_eq!(walk.trace_count(), 1, "one unique 200-frame trace");
-    assert_eq!(walk.trace(walk.trace_ids().next().unwrap()).len(), 200);
-    assert_eq!(fingerprint(&walk), fingerprint(&trie));
+    assert_eq!(
+        check_against_oracle(deep_program(200), &entries, 9, 40, 3),
+        40
+    );
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: full profiling sessions (drains inside `after_op`, snapshots,
-// analysis) must yield identical outcomes across recorder paths — including
-// chaos sessions, where the injector forces the materialized drain route.
+// Golden fingerprints: full profiling sessions (drains inside `after_op`,
+// snapshots, analysis), fault-free and under chaos.
 // ---------------------------------------------------------------------------
 
 fn workload_program() -> Program {
@@ -245,12 +360,17 @@ fn workload_hooks() -> HookRegistry {
     h
 }
 
-fn run_session(path: RecorderPath, faults: Option<FaultConfig>) -> AnalysisOutcome {
+/// What a session's golden fingerprint pins: the rendered profile's
+/// CRC-32, a CRC-32 of the lifetimes' debug form, the detected fault
+/// ledger and the injected ground truth.
+type Golden = (u32, u32, FaultCounters, Option<InjectedFaults>);
+
+fn run_session(faults: Option<FaultConfig>) -> (AnalysisOutcome, Golden) {
     let mut session = match faults {
         Some(f) => ProfilingSession::with_faults(SnapshotPolicy::default(), f),
         None => ProfilingSession::new(SnapshotPolicy::default()),
     };
-    let mut jvm = Jvm::builder(RuntimeConfig::small().with_recorder(path))
+    let mut jvm = Jvm::builder(RuntimeConfig::small())
         .hooks(workload_hooks())
         .transformer(session.recorder_agent())
         .build(workload_program())
@@ -268,26 +388,75 @@ fn run_session(path: RecorderPath, faults: Option<FaultConfig>) -> AnalysisOutco
             jvm.invoke(t, "Store", "flush").expect("flush");
         }
     }
-    session
+    let injected = session.injected_faults();
+    let report = session
         .finish(&mut jvm, &AnalyzerConfig::default())
-        .expect("finish")
-        .outcome
+        .expect("finish");
+    let outcome = report.outcome;
+    let golden = (
+        crc32(outcome.profile.to_string().as_bytes()),
+        crc32(format!("{:?}", outcome.lifetimes).as_bytes()),
+        report.counters,
+        injected,
+    );
+    (outcome, golden)
 }
 
 #[test]
-fn end_to_end_profiles_agree_across_paths() {
-    let walk = run_session(RecorderPath::StackWalk, None);
-    let trie = run_session(RecorderPath::TraceTrie, None);
-    assert!(!walk.profile.is_empty(), "workload produces a real profile");
-    assert_eq!(walk, trie);
+fn fault_free_session_matches_its_golden_fingerprint() {
+    let (outcome, golden) = run_session(None);
+    assert!(
+        !outcome.profile.is_empty(),
+        "workload produces a real profile"
+    );
+    assert_eq!(
+        golden,
+        (0x1ddc_e91b, 0xb83d_cfc3, FaultCounters::new(), None)
+    );
 }
 
 #[test]
-fn chaos_sessions_agree_across_paths() {
-    for fault_seed in [11u64, 23] {
-        let faults = FaultConfig::all_at(0.10, fault_seed);
-        let walk = run_session(RecorderPath::StackWalk, Some(faults));
-        let trie = run_session(RecorderPath::TraceTrie, Some(faults));
-        assert_eq!(walk, trie, "fault seed {fault_seed}: chaos runs diverged");
+fn chaos_sessions_match_their_golden_fingerprints() {
+    let seed_11 = (
+        0x1ddc_e91b,
+        0x085b_1df3,
+        FaultCounters {
+            snapshots_failed: 2,
+            snapshot_retries: 2,
+            records_dropped_corrupt: 2162,
+            ..FaultCounters::new()
+        },
+        Some(InjectedFaults {
+            snapshot_failures: 2,
+            snapshots_truncated: 1,
+            hashes_lost: 310,
+            records_dropped: 2440,
+            records_duplicated: 1988,
+            records_corrupted: 2162,
+            ..InjectedFaults::default()
+        }),
+    );
+    let seed_23 = (
+        0x1ddc_e91b,
+        0x257b_008f,
+        FaultCounters {
+            snapshots_failed: 4,
+            snapshot_retries: 4,
+            records_dropped_corrupt: 2134,
+            ..FaultCounters::new()
+        },
+        Some(InjectedFaults {
+            snapshot_failures: 4,
+            snapshots_truncated: 6,
+            hashes_lost: 1502,
+            records_dropped: 2467,
+            records_duplicated: 2003,
+            records_corrupted: 2134,
+            ..InjectedFaults::default()
+        }),
+    );
+    for (fault_seed, expected) in [(11u64, seed_11), (23, seed_23)] {
+        let (_, golden) = run_session(Some(FaultConfig::all_at(0.10, fault_seed)));
+        assert_eq!(golden, expected, "fault seed {fault_seed}");
     }
 }

@@ -3,23 +3,6 @@
 use polm2_gc::GcConfig;
 use polm2_heap::HeapConfig;
 
-/// How `RecordAlloc` captures the allocation context.
-///
-/// Both paths feed the Recorder the exact same traces; they differ only in
-/// per-allocation cost. Kept selectable so the perf gate and the chaos
-/// suite can diff the two end-to-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecorderPath {
-    /// The seed behavior: walk the thread's frame stack and materialize a
-    /// fresh `Vec<TraceFrame>` per allocation — O(depth) per event.
-    StackWalk,
-    /// The incremental trace trie: the thread's context node is maintained
-    /// at call/return, so recording is one child-edge lookup plus columnar
-    /// buffer pushes — O(1) per event (see [`crate::TraceTrie`]).
-    #[default]
-    TraceTrie,
-}
-
 /// Configuration for a [`Jvm`](crate::Jvm).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
@@ -33,8 +16,6 @@ pub struct RuntimeConfig {
     pub alloc_cost_ns: u64,
     /// Maximum interpreter call depth.
     pub max_stack_depth: usize,
-    /// How allocation contexts are captured for the Recorder.
-    pub recorder: RecorderPath,
 }
 
 impl RuntimeConfig {
@@ -46,14 +27,7 @@ impl RuntimeConfig {
             instr_cost_ns: 50,
             alloc_cost_ns: 200,
             max_stack_depth: 256,
-            recorder: RecorderPath::TraceTrie,
         }
-    }
-
-    /// This configuration with the given recorder path (chainable).
-    pub fn with_recorder(mut self, recorder: RecorderPath) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// This configuration with the given GC worker count (chainable).

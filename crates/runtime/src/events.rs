@@ -1,7 +1,6 @@
 //! Allocation events: what the Recorder drains from the runtime.
 
-use polm2_heap::{IdentityHash, ObjectId, SiteId};
-use polm2_metrics::SimTime;
+use polm2_heap::IdentityHash;
 
 use crate::trie::TraceNodeId;
 
@@ -24,41 +23,22 @@ pub struct TraceFrame {
     pub line: u32,
 }
 
-/// One recorded allocation: what the paper's Recorder logs — the full stack
-/// trace of the allocation site plus the object's identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocEvent {
-    /// The call path, outermost frame first; the last frame is the
-    /// allocation site itself.
-    pub trace: Vec<TraceFrame>,
-    /// The allocated object.
-    pub object: ObjectId,
-    /// The identity hash stored in the object's header (what snapshots are
-    /// matched by).
-    pub hash: IdentityHash,
-    /// The allocation site id the loader assigned.
-    pub site: SiteId,
-    /// When the allocation happened.
-    pub at: SimTime,
-}
-
-/// Per-thread buffer of recorded allocations in trie form: parallel columns
-/// (structure-of-arrays) instead of a `Vec` of owning [`AllocEvent`]s.
+/// Per-thread buffer of recorded allocations: parallel `(trace node,
+/// identity hash)` columns (structure-of-arrays) — what the paper's Recorder
+/// logs per allocation, with the stack trace held as its node in the
+/// runtime's [`TraceTrie`](crate::TraceTrie).
 ///
-/// The trie-path `RecordAlloc` pushes one entry per allocation — five
-/// integer stores, no heap allocation. The buffer is created with a fixed
-/// capacity ([`AllocEventBuffer::DEFAULT_CAPACITY`]) and keeps that storage
-/// across drains ([`clear`](AllocEventBuffer::clear) retains capacity), so
-/// the steady state allocates nothing; an operation that records more
-/// events than the capacity between drains grows it once and the larger
-/// buffer is then reused.
+/// `RecordAlloc` pushes one entry per allocation — two integer stores, no
+/// heap allocation. The buffer is created with a fixed capacity
+/// ([`AllocEventBuffer::DEFAULT_CAPACITY`]) and keeps that storage across
+/// drains ([`clear`](AllocEventBuffer::clear) retains capacity), so the
+/// steady state allocates nothing; an operation that records more events
+/// than the capacity between drains grows it once and the larger buffer is
+/// then reused.
 #[derive(Debug, Default)]
 pub struct AllocEventBuffer {
     nodes: Vec<TraceNodeId>,
     hashes: Vec<IdentityHash>,
-    objects: Vec<ObjectId>,
-    sites: Vec<SiteId>,
-    ats: Vec<SimTime>,
 }
 
 impl AllocEventBuffer {
@@ -75,27 +55,16 @@ impl AllocEventBuffer {
         AllocEventBuffer {
             nodes: Vec::with_capacity(capacity),
             hashes: Vec::with_capacity(capacity),
-            objects: Vec::with_capacity(capacity),
-            sites: Vec::with_capacity(capacity),
-            ats: Vec::with_capacity(capacity),
         }
     }
 
-    /// Appends one recorded allocation.
+    /// Appends one recorded allocation: the trie node of its stack trace
+    /// and the identity hash stored in the object's header (what snapshots
+    /// are matched by).
     #[inline]
-    pub fn push(
-        &mut self,
-        node: TraceNodeId,
-        hash: IdentityHash,
-        object: ObjectId,
-        site: SiteId,
-        at: SimTime,
-    ) {
+    pub fn push(&mut self, node: TraceNodeId, hash: IdentityHash) {
         self.nodes.push(node);
         self.hashes.push(hash);
-        self.objects.push(object);
-        self.sites.push(site);
-        self.ats.push(at);
     }
 
     /// Number of buffered events.
@@ -112,9 +81,6 @@ impl AllocEventBuffer {
     pub fn clear(&mut self) {
         self.nodes.clear();
         self.hashes.clear();
-        self.objects.clear();
-        self.sites.clear();
-        self.ats.clear();
     }
 
     /// The trace-trie node column.
@@ -126,26 +92,12 @@ impl AllocEventBuffer {
     pub fn hashes(&self) -> &[IdentityHash] {
         &self.hashes
     }
-
-    /// The object-id column.
-    pub fn objects(&self) -> &[ObjectId] {
-        &self.objects
-    }
-
-    /// The allocation-site column.
-    pub fn sites(&self) -> &[SiteId] {
-        &self.sites
-    }
-
-    /// The timestamp column.
-    pub fn ats(&self) -> &[SimTime] {
-        &self.ats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polm2_heap::ObjectId;
 
     #[test]
     fn trace_frames_order_and_compare() {
@@ -164,36 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn event_is_cloneable_and_comparable() {
-        let e = AllocEvent {
-            trace: vec![TraceFrame {
-                class_idx: 1,
-                method_idx: 2,
-                line: 3,
-            }],
-            object: ObjectId::new(9),
-            hash: IdentityHash::of(ObjectId::new(9)),
-            site: SiteId::new(4),
-            at: SimTime::from_millis(5),
-        };
-        assert_eq!(e.clone(), e);
-    }
-
-    #[test]
     fn event_buffer_columns_stay_parallel_and_capacity_survives_clear() {
         let mut buf = AllocEventBuffer::with_capacity(2);
-        buf.push(
-            TraceNodeId::ROOT,
-            IdentityHash::of(ObjectId::new(1)),
-            ObjectId::new(1),
-            SiteId::new(3),
-            SimTime::from_micros(7),
-        );
+        let hash = IdentityHash::of(ObjectId::new(1));
+        buf.push(TraceNodeId::ROOT, hash);
         assert_eq!(buf.len(), 1);
         assert!(!buf.is_empty());
-        assert_eq!(buf.nodes().len(), buf.hashes().len());
-        assert_eq!(buf.sites()[0], SiteId::new(3));
-        assert_eq!(buf.ats()[0], SimTime::from_micros(7));
+        assert_eq!(buf.nodes(), &[TraceNodeId::ROOT]);
+        assert_eq!(buf.hashes(), &[hash]);
         let cap = buf.nodes.capacity();
         buf.clear();
         assert!(buf.is_empty());

@@ -5,8 +5,6 @@ use std::rc::Rc;
 use polm2_gc::{AllocRequest, SafepointRoots, ThreadId};
 use polm2_heap::ObjectId;
 
-use crate::config::RecorderPath;
-use crate::events::AllocEvent;
 use crate::hooks::{BoundHooks, HookCtx};
 use crate::loader::{RCount, RInstr, RSize};
 use crate::thread::{Frame, MutatorThread};
@@ -137,7 +135,7 @@ impl Jvm {
                 self.verify_at_safepoint(collected)?;
                 let t = self.thread_mut(thread);
                 t.hold(outcome.object);
-                t.frames.last_mut().expect("allocating frame").last_site = Some(*site);
+                t.frames.last_mut().expect("allocating frame").allocated = true;
             }
             RInstr::Call {
                 class_idx,
@@ -206,10 +204,10 @@ impl Jvm {
                 self.collector.set_target_gen(thread, prev)?;
             }
             RInstr::RecordAlloc => {
-                let (object, site) = {
+                let object = {
                     let frame = self.frame_mut(thread);
-                    match (frame.acc, frame.last_site) {
-                        (Some(o), Some(s)) => (o, s),
+                    match frame.acc {
+                        Some(o) if frame.allocated => o,
                         _ => return Err(RuntimeError::NothingToRecord),
                     }
                 };
@@ -218,33 +216,18 @@ impl Jvm {
                     .object(object)
                     .ok_or(RuntimeError::NothingToRecord)?
                     .identity_hash();
-                let at = self.clock.now();
+                // The topmost frame's line is the allocation line (set by
+                // the preceding `Alloc`); one child-edge lookup appends it
+                // to the thread's context path — no stack walk, no
+                // per-event allocation.
                 let t = &mut self.threads[thread.raw() as usize];
-                match self.config.recorder {
-                    RecorderPath::TraceTrie => {
-                        // The topmost frame's line is the allocation line
-                        // (set by the preceding `Alloc`); one child-edge
-                        // lookup appends it to the thread's context path —
-                        // no stack walk, no per-event allocation.
-                        let top = t
-                            .frames
-                            .last()
-                            .expect("RecordAlloc executes in a frame")
-                            .as_trace_frame();
-                        let node = self.trace_trie.child(t.context_node, top);
-                        t.events.push(node, hash, object, site, at);
-                    }
-                    RecorderPath::StackWalk => {
-                        let trace = t.trace();
-                        t.pending_events.push(AllocEvent {
-                            trace,
-                            object,
-                            hash,
-                            site,
-                            at,
-                        });
-                    }
-                }
+                let top = t
+                    .frames
+                    .last()
+                    .expect("RecordAlloc executes in a frame")
+                    .as_trace_frame();
+                let node = self.trace_trie.child(t.context_node, top);
+                t.events.push(node, hash);
             }
         }
         Ok(())

@@ -8,8 +8,7 @@ use polm2_gc::{Collector, G1Collector, GcEvent, GcLog, PauseEvent, ThreadId};
 use polm2_heap::{Heap, ObjectId};
 use polm2_metrics::{SimDuration, SimTime};
 
-use crate::config::RecorderPath;
-use crate::events::{AllocEvent, AllocEventBuffer};
+use crate::events::AllocEventBuffer;
 use crate::hooks::BoundHooks;
 use crate::ir::Program;
 use crate::loader::{ClassTransformer, LoadedProgram, Loader};
@@ -83,8 +82,7 @@ impl JvmBuilder {
         let hooks = self.hooks.bind(loaded.hook_names());
         // Allocation contexts are only read by `RecordAlloc`, which the
         // Recorder agent inserts; without one the trie is never consulted.
-        let tracks_context =
-            self.config.recorder == RecorderPath::TraceTrie && loaded.records_allocs();
+        let tracks_context = loaded.records_allocs();
         let barrier_permille = u64::from(self.collector.mutator_overhead_permille());
         Ok(Jvm {
             config: self.config,
@@ -114,8 +112,8 @@ pub struct Jvm {
     pub(crate) collector: Box<dyn Collector>,
     pub(crate) program: Rc<LoadedProgram>,
     pub(crate) hooks: BoundHooks,
-    /// True if calls maintain each thread's trie context: the trie
-    /// recorder path on a program that records allocations.
+    /// True if calls maintain each thread's trie context: the program
+    /// records allocations.
     pub(crate) tracks_context: bool,
     /// The collector's barrier tax, fixed for its lifetime.
     pub(crate) barrier_permille: u64,
@@ -123,7 +121,7 @@ pub struct Jvm {
     pub(crate) clock: SimClock,
     pub(crate) gc_log: GcLog,
     pub(crate) threads: Vec<MutatorThread>,
-    /// The shared trie of call edges (trie recorder path).
+    /// The shared trie of call edges the Recorder's traces live in.
     pub(crate) trace_trie: TraceTrie,
     /// Reused safepoint-root collection buffer (allocation + force_collect).
     pub(crate) safepoint_scratch: Vec<ObjectId>,
@@ -229,60 +227,24 @@ impl Jvm {
         &self.threads
     }
 
-    /// The recorder path this runtime was configured with.
-    pub fn recorder_path(&self) -> RecorderPath {
-        self.config.recorder
-    }
-
     /// The shared trace trie (read access; the interpreter maintains it
-    /// while the program records allocations on the trie recorder path, and
-    /// leaves it at its root otherwise).
+    /// while the program records allocations, and leaves it at its root
+    /// otherwise).
     pub fn trace_trie(&self) -> &TraceTrie {
         &self.trace_trie
     }
 
     /// True if any thread holds undrained allocation events.
     pub fn has_pending_alloc_events(&self) -> bool {
-        self.threads
-            .iter()
-            .any(|t| !t.events.is_empty() || !t.pending_events.is_empty())
+        self.threads.iter().any(|t| !t.events.is_empty())
     }
 
-    /// Drains buffered allocation events (the Recorder's input stream) as
-    /// materialized [`AllocEvent`]s, per-thread batches concatenated in
-    /// thread order.
-    ///
-    /// On the trie recorder path this *materializes* every trace from the
-    /// trie — the compatibility/chaos route. The fast route is
-    /// [`drain_alloc_batches`](Jvm::drain_alloc_batches), which hands the
-    /// Recorder the columnar buffers directly.
-    pub fn drain_alloc_events(&mut self) -> Vec<AllocEvent> {
-        let mut out = Vec::new();
-        for t in &mut self.threads {
-            out.append(&mut t.pending_events);
-            for i in 0..t.events.len() {
-                out.push(AllocEvent {
-                    trace: self.trace_trie.path(t.events.nodes()[i]),
-                    object: t.events.objects()[i],
-                    hash: t.events.hashes()[i],
-                    site: t.events.sites()[i],
-                    at: t.events.ats()[i],
-                });
-            }
-            t.events.clear();
-        }
-        out
-    }
-
-    /// Drains buffered trie-form allocation events in place: `f` is called
-    /// once per non-empty per-thread buffer, in thread order, with the
-    /// shared trie, the loaded program, and the columnar batch. Buffers are
-    /// cleared (retaining capacity) after their callback — the steady state
-    /// allocates nothing.
-    ///
-    /// Only the trie recorder path fills these buffers; on
-    /// [`RecorderPath::StackWalk`] this is a no-op and events must be
-    /// drained via [`drain_alloc_events`](Jvm::drain_alloc_events).
+    /// Drains buffered allocation events (the Recorder's input stream) in
+    /// place: `f` is called once per non-empty per-thread buffer, in thread
+    /// order, with the shared trie, the loaded program, and the columnar
+    /// batch. Buffers are cleared (retaining capacity) after their callback
+    /// — the steady state allocates nothing. Resolve a batch's nodes to
+    /// stack traces with [`TraceTrie::path`].
     pub fn drain_alloc_batches(
         &mut self,
         mut f: impl FnMut(&TraceTrie, &LoadedProgram, &AllocEventBuffer),

@@ -1,9 +1,9 @@
 //! Mutator threads and call frames.
 
 use polm2_gc::ThreadId;
-use polm2_heap::{GenId, ObjectId, SiteId};
+use polm2_heap::{GenId, ObjectId};
 
-use crate::events::{AllocEvent, AllocEventBuffer, TraceFrame};
+use crate::events::{AllocEventBuffer, TraceFrame};
 use crate::trie::TraceNodeId;
 
 /// One call frame. Its locals and saved target generations live on the
@@ -18,9 +18,9 @@ pub(crate) struct Frame {
     pub(crate) line: u32,
     /// The frame accumulator: most recent allocation or callee result.
     pub(crate) acc: Option<ObjectId>,
-    /// The site of the most recent allocation in this frame (for
-    /// `RecordAlloc`).
-    pub(crate) last_site: Option<SiteId>,
+    /// True once this frame has allocated: `RecordAlloc` records the
+    /// accumulator only after an allocation.
+    pub(crate) allocated: bool,
     /// Where this frame's locals start in [`MutatorThread::roots`].
     pub(crate) roots_base: usize,
     /// Where this frame's saved generations start in
@@ -60,11 +60,8 @@ pub struct MutatorThread {
     /// its call line; maintained on frame push/pop by the interpreter while
     /// allocation contexts are recorded (see [`crate::TraceTrie`]).
     pub(crate) context_node: TraceNodeId,
-    /// Buffered allocation events, trie form (the fast recorder path).
+    /// Buffered allocation events, drained by the Recorder.
     pub(crate) events: AllocEventBuffer,
-    /// Buffered allocation events, materialized form (the seed-equivalent
-    /// stack-walk recorder path).
-    pub(crate) pending_events: Vec<AllocEvent>,
     /// Scratch for [`stack_roots`](MutatorThread::stack_roots), reused
     /// across GC safepoints.
     roots_scratch: Vec<ObjectId>,
@@ -79,7 +76,6 @@ impl MutatorThread {
             saved_gens: Vec::new(),
             context_node: TraceNodeId::ROOT,
             events: AllocEventBuffer::new(),
-            pending_events: Vec::new(),
             roots_scratch: Vec::new(),
         }
     }
@@ -95,7 +91,7 @@ impl MutatorThread {
             method_idx,
             line: 0,
             acc: None,
-            last_site: None,
+            allocated: false,
             roots_base: self.roots.len(),
             gens_base: self.saved_gens.len(),
         });
@@ -115,11 +111,6 @@ impl MutatorThread {
     /// Current call depth.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// The current stack trace, outermost frame first.
-    pub fn trace(&self) -> Vec<TraceFrame> {
-        self.frames.iter().map(Frame::as_trace_frame).collect()
     }
 
     /// All objects rooted by this thread's stack, in
@@ -156,17 +147,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trace_reflects_frames() {
+    fn frames_report_their_current_line() {
         let mut t = MutatorThread::new(ThreadId::new(1));
         assert_eq!(t.depth(), 0);
         t.push_frame(0, 0);
         t.frames[0].line = 3;
         t.push_frame(0, 1);
         t.frames[1].line = 7;
-        let trace = t.trace();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace[0].line, 3);
-        assert_eq!(trace[1].line, 7);
+        assert_eq!(t.depth(), 2);
+        let top = t.frames[1].as_trace_frame();
+        assert_eq!((top.class_idx, top.method_idx, top.line), (0, 1, 7));
+        assert_eq!(t.frames[0].as_trace_frame().line, 3);
     }
 
     #[test]

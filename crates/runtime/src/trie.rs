@@ -45,6 +45,13 @@ impl TraceNodeId {
         self.0
     }
 
+    /// Rewraps a raw index. Ids are only meaningful against the trie that
+    /// issued them: consumers of outside batches must reject an id the trie
+    /// never issued (the Recorder drops events through one).
+    pub const fn from_raw(raw: u32) -> Self {
+        TraceNodeId(raw)
+    }
+
     /// The raw index widened for table addressing.
     pub const fn index(self) -> usize {
         self.0 as usize

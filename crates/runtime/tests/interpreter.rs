@@ -205,22 +205,32 @@ fn recorder_style_transformer_sees_allocation_events() {
     let t = vm.spawn_thread();
     vm.invoke(t, "Store", "put").unwrap();
     vm.invoke(t, "Store", "scratch").unwrap();
-    let events = vm.drain_alloc_events();
-    assert_eq!(events.len(), 2);
+    let mut batches = Vec::new();
+    vm.drain_alloc_batches(|trie, program, batch| {
+        for (&node, &hash) in batch.nodes().iter().zip(batch.hashes()) {
+            let trace: Vec<CodeLoc> = trie
+                .path(node)
+                .into_iter()
+                .map(|f| program.code_loc(f))
+                .collect();
+            batches.push((trace, hash));
+        }
+    });
+    assert_eq!(batches.len(), 2);
     // The put's trace is Store.put -> Cell.create with the alloc line last.
-    let trace: Vec<CodeLoc> = events[0]
-        .trace
-        .iter()
-        .map(|&f| vm.program().code_loc(f))
-        .collect();
+    let (trace, hash) = &batches[0];
     assert_eq!(trace.len(), 2);
     assert_eq!(trace[0], CodeLoc::new("Store", "put", 10));
     assert_eq!(trace[1], CodeLoc::new("Cell", "create", 5));
-    // The event's hash matches the live object's header.
-    let rec = vm.heap().object(events[0].object).unwrap();
-    assert_eq!(rec.identity_hash(), events[0].hash);
-    // Draining empties the buffer.
-    assert!(vm.drain_alloc_events().is_empty());
+    // The event's hash matches the live (inserted) cell's header.
+    let slot = vm.heap().roots().find_slot("store").unwrap();
+    let cell = vm.heap().roots().slot(slot)[0];
+    assert_eq!(vm.heap().object(cell).unwrap().identity_hash(), *hash);
+    // The scratch allocation's trace is its own one-frame path.
+    assert_eq!(batches[1].0, vec![CodeLoc::new("Store", "scratch", 20)]);
+    // Draining empties the buffers.
+    assert!(!vm.has_pending_alloc_events());
+    vm.drain_alloc_batches(|_, _, _| panic!("nothing left to drain"));
 }
 
 #[test]

@@ -20,12 +20,10 @@ echo "== worker-determinism suites under --verify-heap gc"
 POLM2_VERIFY_HEAP=gc cargo test -q -p polm2-gc --test worker_determinism
 POLM2_VERIFY_HEAP=gc cargo test -q -p polm2-core --test gc_worker_determinism
 
-echo "== perfgate smoke (heap arm: sim/real equality + bandwidth floor + copy scaling)"
+echo "== perfgate smoke (pipeline + gc + heap arms: equality gates + floors)"
 cargo run --release -p polm2-bench --bin perfgate -- \
-  --quick --min-recorder-speedup 1.5 --min-gc-speedup 1.5 --min-heap-gbps 0.01 \
-  --min-copy-scaling 1.0 \
-  --out /tmp/BENCH_check.json --pipeline-out /tmp/BENCH_pipeline_check.json \
-  --recorder-out /tmp/BENCH_recorder_check.json --gc-out /tmp/BENCH_gc_check.json \
-  --heap-out /tmp/BENCH_heap_check.json
+  --quick --min-gc-speedup 1.5 --min-heap-gbps 0.01 --min-copy-scaling 1.0 \
+  --pipeline-out /tmp/BENCH_pipeline_check.json \
+  --gc-out /tmp/BENCH_gc_check.json --heap-out /tmp/BENCH_heap_check.json
 
 echo "all checks passed"

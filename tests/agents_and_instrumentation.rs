@@ -80,9 +80,16 @@ fn stacked_agents_compose_like_stacked_java_agents() {
     for _ in 0..500 {
         jvm.invoke(t, "Cassandra", "handleOp").expect("op");
     }
-    let events = jvm.drain_alloc_events();
+    let mut events = 0;
+    jvm.drain_alloc_batches(|trie, program, batch| {
+        for &node in batch.nodes() {
+            let trace = trie.path(node);
+            assert!(!trace.is_empty() && trace.iter().all(|&f| program.frame_is_valid(f)));
+            events += 1;
+        }
+    });
     assert!(
-        !events.is_empty(),
+        events > 0,
         "recorder still sees allocations under instrumentation"
     );
     jvm.heap().check_invariants();
