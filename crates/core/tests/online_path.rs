@@ -1,15 +1,18 @@
-//! The zero-retrace snapshot path, end to end: collectors publish their
-//! just-computed live set, the CRIU Dumper reuses it when still current, and
-//! any heap mutation in between forces the fallback fresh trace — with
-//! bit-identical snapshots either way.
+//! An independent oracle for the Dumper (paper §3.2): GC → capture cycles
+//! under every kind of heap mutation, each capture checked against a
+//! brute-force reachability walk that never calls `mark_live` — its hash
+//! column, its live-object count, and the no-need bit of every assigned
+//! page.
+
+use std::collections::{HashSet, VecDeque};
 
 use polm2_gc::{
     AllocRequest, C4Collector, Collector, G1Collector, GcConfig, Ng2cCollector, SafepointRoots,
     ThreadId,
 };
-use polm2_heap::{Heap, HeapConfig, ObjectId, SiteId};
+use polm2_heap::{BackendKind, Heap, HeapConfig, ObjectId, SiteId};
 use polm2_metrics::SimTime;
-use polm2_snapshot::{CriuDumper, DumperOptions, HeapDumper, Snapshot};
+use polm2_snapshot::{CriuDumper, HeapDumper, Snapshot};
 
 fn request(heap: &mut Heap, size: u32, site: u32) -> AllocRequest {
     AllocRequest {
@@ -39,212 +42,158 @@ fn churn(heap: &mut Heap, gc: &mut dyn Collector, objects: u32) -> Vec<ObjectId>
     kept
 }
 
-fn assert_snapshots_equal(a: &Snapshot, b: &Snapshot, context: &str) {
-    assert_eq!(a.sorted_hashes(), b.sorted_hashes(), "{context}: contents");
-    assert_eq!(a.live_objects, b.live_objects, "{context}: live counts");
-    assert_eq!(a.size_bytes, b.size_bytes, "{context}: captured bytes");
-    assert_eq!(a.capture_time, b.capture_time, "{context}: capture cost");
+/// Allocates one unrooted object. The caller must make it reachable before
+/// the next allocation, which may collect.
+fn alloc_one(heap: &mut Heap, gc: &mut dyn Collector, size: u32) -> ObjectId {
+    let req = request(heap, size, 5);
+    gc.alloc(heap, req, &SafepointRoots::none())
+        .expect("allocation")
+        .object
 }
 
-/// Runs GC→snapshot cycles twice — zero-retrace dumper vs forced-fresh-trace
-/// dumper — over identically driven heaps, and demands identical snapshot
-/// sequences.
-fn reuse_matches_fresh_for(make: &dyn Fn() -> Box<dyn Collector>) {
-    let run = |reuse: bool| -> Vec<Snapshot> {
-        let mut heap = Heap::new(HeapConfig::small());
+/// Everything reachable from the root table, by breadth-first search over
+/// the object table.
+fn reachable(heap: &Heap) -> HashSet<ObjectId> {
+    let mut seen = HashSet::new();
+    let mut queue: VecDeque<ObjectId> = heap.roots().iter().collect();
+    while let Some(id) = queue.pop_front() {
+        if let Some(rec) = heap.object(id) {
+            if seen.insert(id) {
+                queue.extend(rec.refs().iter().copied());
+            }
+        }
+    }
+    seen
+}
+
+fn assert_capture_matches_walk(heap: &Heap, snap: &Snapshot, context: &str) {
+    let live = reachable(heap);
+    assert!(
+        !live.is_empty(),
+        "{context}: the workload keeps objects live"
+    );
+
+    let mut hashes: Vec<u64> = live
+        .iter()
+        .map(|&id| u64::from(heap.object(id).expect("live").identity_hash().raw()))
+        .collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    assert_eq!(snap.sorted_hashes(), &hashes[..], "{context}: hash column");
+    assert_eq!(
+        snap.live_objects,
+        live.len() as u64,
+        "{context}: live count"
+    );
+
+    let mut live_pages = HashSet::new();
+    for &id in &live {
+        let rec = heap.object(id).expect("live");
+        let (first, last) = heap.page_table().pages_of(rec.addr(), rec.size());
+        live_pages.extend(first..=last);
+    }
+    let per_region = heap.config().pages_per_region();
+    let (mut need, mut no_need) = (0, 0);
+    for region in heap.regions().iter().filter(|r| r.space().is_some()) {
+        let first = region.first_page().raw();
+        for page in first..first + per_region {
+            let flagged = heap.page_table().flags_of(page).no_need;
+            assert_eq!(
+                flagged,
+                !live_pages.contains(&page),
+                "{context}: no-need bit of page {page}"
+            );
+            if flagged {
+                no_need += 1;
+            } else {
+                need += 1;
+            }
+        }
+    }
+    assert!(
+        need > 0 && no_need > 0,
+        "{context}: assigned regions hold both live and dead pages ({need}/{no_need})"
+    );
+}
+
+/// Objects one cycle's mutations wired up, undone by the next cycle's.
+struct Wiring {
+    parent: ObjectId,
+    head: ObjectId,
+    extra: ObjectId,
+    unrooted: ObjectId,
+}
+
+/// Applies every mutation kind: allocate, `add_ref`, `remove_ref`, root
+/// push, root remove and `drop_object`.
+fn mutate(heap: &mut Heap, gc: &mut dyn Collector, prev: Option<&Wiring>) -> Wiring {
+    // Allocate: more rooted survivors plus short-lived garbage.
+    let kept = churn(heap, gc, 40);
+    // add_ref: a two-object chain reachable only through edges.
+    let head = alloc_one(heap, gc, 3_000);
+    heap.add_ref(kept[0], head).expect("edge");
+    let tail = alloc_one(heap, gc, 6_000);
+    heap.add_ref(head, tail).expect("edge");
+    // Root push: an object rooted in a second slot.
+    let extra = alloc_one(heap, gc, 1_500);
+    let extra_slot = heap.roots_mut().create_slot("extra");
+    heap.roots_mut().push(extra_slot, extra);
+
+    if let Some(prev) = prev {
+        // remove_ref: the previous chain becomes garbage...
+        assert!(heap.remove_ref(prev.parent, prev.head).expect("edge"));
+        // ...and drop_object frees its head, which nothing references now.
+        assert!(!reachable(heap).contains(&prev.head), "head is unreachable");
+        heap.drop_object(prev.head).expect("dropped");
+        // Root remove, in both slots.
+        assert!(heap.roots_mut().remove(extra_slot, prev.extra));
+        let survivors = heap.roots().find_slot("survivors").expect("slot");
+        assert!(heap.roots_mut().remove(survivors, prev.unrooted));
+    }
+    Wiring {
+        parent: kept[0],
+        head,
+        extra,
+        unrooted: kept[1],
+    }
+}
+
+/// Six GC → capture cycles; the mutations land after each collection, so
+/// every capture sees a heap the collector's own mark no longer describes.
+fn captures_match_walk(make: &dyn Fn() -> Box<dyn Collector>) {
+    for backend in [BackendKind::Sim, BackendKind::Real] {
+        let mut heap = Heap::new(HeapConfig {
+            backend,
+            ..HeapConfig::small()
+        });
         let mut gc = make();
         gc.attach(&mut heap);
-        let mut dumper = CriuDumper::with_options(DumperOptions {
-            reuse_live_set: reuse,
-            ..DumperOptions::default()
-        });
-        let mut snaps = Vec::new();
+        let mut dumper = CriuDumper::new();
         churn(&mut heap, gc.as_mut(), 400);
+        let mut wiring = None;
         for cycle in 0..6u64 {
             gc.collect(&mut heap, &SafepointRoots::none());
+            wiring = Some(mutate(&mut heap, gc.as_mut(), wiring.as_ref()));
             let snap = dumper
                 .snapshot(&mut heap, SimTime::from_secs(cycle))
                 .expect("snapshot");
-            snaps.push(snap);
-            // Mutate between cycles so later snapshots have fresh content.
-            for i in 0..40 {
-                let req = request(&mut heap, 1_024, i % 3);
-                gc.alloc(&mut heap, req, &SafepointRoots::none())
-                    .expect("allocation");
-            }
+            let context = format!("{} {backend} cycle {cycle}", gc.name());
+            assert_capture_matches_walk(&heap, &snap, &context);
         }
-        snaps
-    };
-
-    let reused = run(true);
-    let fresh = run(false);
-    assert_eq!(reused.len(), fresh.len());
-    for (i, (a, b)) in reused.iter().zip(&fresh).enumerate() {
-        assert_snapshots_equal(a, b, &format!("cycle {i}"));
     }
 }
 
 #[test]
-fn reused_live_set_matches_fresh_trace_g1() {
-    reuse_matches_fresh_for(&|| Box::new(G1Collector::new(GcConfig::default())));
+fn g1_captures_match_a_brute_force_walk() {
+    captures_match_walk(&|| Box::new(G1Collector::new(GcConfig::default())));
 }
 
 #[test]
-fn reused_live_set_matches_fresh_trace_ng2c() {
-    reuse_matches_fresh_for(&|| Box::new(Ng2cCollector::new(GcConfig::default())));
+fn ng2c_captures_match_a_brute_force_walk() {
+    captures_match_walk(&|| Box::new(Ng2cCollector::new(GcConfig::default())));
 }
 
 #[test]
-fn reused_live_set_matches_fresh_trace_c4() {
-    reuse_matches_fresh_for(&|| Box::new(C4Collector::new(GcConfig::default())));
-}
-
-#[test]
-fn full_collection_publishes_a_current_live_set() {
-    let mut heap = Heap::new(HeapConfig::small());
-    let mut gc = G1Collector::new(GcConfig::default());
-    gc.attach(&mut heap);
-    churn(&mut heap, &mut gc, 200);
-
-    assert!(!heap.has_current_published_live(), "nothing published yet");
-    gc.collect(&mut heap, &SafepointRoots::none());
-    assert!(
-        heap.has_current_published_live(),
-        "a root-table-only full GC must publish its live set"
-    );
-}
-
-#[test]
-fn stack_roots_suppress_publication() {
-    let mut heap = Heap::new(HeapConfig::small());
-    let mut gc = G1Collector::new(GcConfig::default());
-    gc.attach(&mut heap);
-    let kept = churn(&mut heap, &mut gc, 200);
-
-    let stack = [kept[0]];
-    gc.collect(&mut heap, &SafepointRoots::new(&stack));
-    assert!(
-        !heap.has_current_published_live(),
-        "stack-rooted traces see more than the Dumper would; never reused"
-    );
-}
-
-/// Every kind of mutation between GC and snapshot invalidates the published
-/// set, and the Dumper's fallback trace still produces the right snapshot.
-#[test]
-fn any_mutation_between_gc_and_snapshot_invalidates_reuse() {
-    type Mutation = fn(&mut Heap, &[ObjectId]);
-    let mutations: &[(&str, Mutation)] = &[
-        ("allocate", |heap, _kept| {
-            let class = heap.classes_mut().intern("T");
-            heap.allocate(class, 256, SiteId::new(9), Heap::YOUNG_SPACE)
-                .expect("allocation");
-        }),
-        ("add_ref", |heap, kept| {
-            heap.add_ref(kept[0], kept[1]).expect("edge");
-        }),
-        ("remove_ref", |heap, kept| {
-            heap.add_ref(kept[0], kept[1]).expect("edge");
-            // Re-marking after the add: only the remove below must invalidate.
-            let live = heap.mark_live(&[]);
-            heap.publish_live(live);
-            assert!(heap.has_current_published_live());
-            heap.remove_ref(kept[0], kept[1]).expect("edge removed");
-        }),
-        ("root push", |heap, kept| {
-            let slot = heap.roots_mut().create_slot("extra");
-            heap.roots_mut().push(slot, kept[0]);
-        }),
-        ("root remove", |heap, kept| {
-            let slot = heap.roots_mut().find_slot("survivors").expect("slot");
-            heap.roots_mut().remove(slot, kept[0]);
-        }),
-        ("drop_object", |heap, kept| {
-            let slot = heap.roots_mut().find_slot("survivors").expect("slot");
-            heap.roots_mut().remove(slot, kept[0]);
-            let live = heap.mark_live(&[]);
-            heap.publish_live(live);
-            assert!(heap.has_current_published_live());
-            heap.drop_object(kept[0]).expect("dropped");
-        }),
-    ];
-
-    for (name, mutate) in mutations {
-        let mut heap = Heap::new(HeapConfig::small());
-        let mut gc = G1Collector::new(GcConfig::default());
-        gc.attach(&mut heap);
-        let kept = churn(&mut heap, &mut gc, 200);
-
-        gc.collect(&mut heap, &SafepointRoots::none());
-        assert!(heap.has_current_published_live(), "{name}: published");
-        mutate(&mut heap, &kept);
-        assert!(
-            !heap.has_current_published_live(),
-            "{name}: mutation must invalidate the published live set"
-        );
-
-        // The fallback path re-traces and must agree with a straight mark.
-        let mut dumper = CriuDumper::new();
-        let snap = dumper.snapshot(&mut heap, SimTime::ZERO).expect("snapshot");
-        let live = heap.mark_live(&[]);
-        assert_eq!(
-            snap.live_objects,
-            live.len() as u64,
-            "{name}: fallback trace content"
-        );
-    }
-}
-
-/// Field writes dirty pages but do not change reachability: the published
-/// set stays reusable and incremental snapshots still capture the writes.
-#[test]
-fn field_writes_keep_reuse_valid_but_dirty_pages() {
-    let mut heap = Heap::new(HeapConfig::small());
-    let mut gc = G1Collector::new(GcConfig::default());
-    gc.attach(&mut heap);
-    let kept = churn(&mut heap, &mut gc, 200);
-
-    let mut dumper = CriuDumper::new();
-    gc.collect(&mut heap, &SafepointRoots::none());
-    dumper.snapshot(&mut heap, SimTime::ZERO).expect("snapshot");
-
-    // Snapshot re-published the set; a pure field write must not unpublish.
-    let survivor = kept.iter().find(|&&o| heap.object(o).is_some()).copied();
-    heap.write_field(survivor.expect("a survivor"))
-        .expect("write");
-    assert!(
-        heap.has_current_published_live(),
-        "field writes do not change reachability"
-    );
-    let snap = dumper
-        .snapshot(&mut heap, SimTime::from_secs(1))
-        .expect("snapshot");
-    assert!(
-        snap.size_bytes >= u64::from(heap.page_table().page_bytes()),
-        "the dirtied page must be captured"
-    );
-}
-
-/// Back-to-back snapshots with no mutation in between: the second reuses the
-/// set the first re-published.
-#[test]
-fn snapshot_republishes_for_back_to_back_captures() {
-    let mut heap = Heap::new(HeapConfig::small());
-    let mut gc = G1Collector::new(GcConfig::default());
-    gc.attach(&mut heap);
-    churn(&mut heap, &mut gc, 200);
-    gc.collect(&mut heap, &SafepointRoots::none());
-
-    let mut dumper = CriuDumper::new();
-    let epoch_before = heap.mark_epoch();
-    let first = dumper.snapshot(&mut heap, SimTime::ZERO).expect("snapshot");
-    let second = dumper
-        .snapshot(&mut heap, SimTime::from_secs(1))
-        .expect("snapshot");
-    assert_eq!(
-        heap.mark_epoch(),
-        epoch_before,
-        "neither snapshot should have re-traced the collector-marked heap"
-    );
-    assert_eq!(first.sorted_hashes(), second.sorted_hashes());
+fn c4_captures_match_a_brute_force_walk() {
+    captures_match_walk(&|| Box::new(C4Collector::new(GcConfig::default())));
 }

@@ -1,9 +1,9 @@
-//! Property-based tests for POLM2's data structures: the profile format and
-//! the STTree conflict machinery.
+//! Property-based tests for POLM2's data structures: the profile format (and
+//! its parser under damaged input) and the STTree conflict machinery.
 
 use proptest::prelude::*;
 
-use polm2_core::{AllocationProfile, GenCall, PretenuredSite, SttTree};
+use polm2_core::{seal_profile_text, AllocationProfile, GenCall, PretenuredSite, SttTree};
 use polm2_heap::GenId;
 use polm2_runtime::CodeLoc;
 
@@ -25,6 +25,32 @@ fn arb_call() -> impl Strategy<Value = GenCall> {
         at,
         gen: GenId::new(gen),
     })
+}
+
+/// One character edit of a rendering: `(kind, char, position)`, with kind
+/// 0 = delete, 1 = insert, 2 = replace, 3 = truncate. The position is taken
+/// modulo the text length when the edit is applied.
+fn arb_edit() -> impl Strategy<Value = (u8, char, usize)> {
+    let chars = prop_oneof![
+        6 => (32u8..127).prop_map(char::from),
+        Just('\n'),
+        Just('é'),
+        Just('\0'),
+    ];
+    (0u8..4, chars, any::<usize>())
+}
+
+fn apply_edit(text: &mut Vec<char>, (kind, c, pos): (u8, char, usize)) {
+    let at = pos % (text.len() + 1);
+    match kind {
+        0 if at < text.len() => {
+            text.remove(at);
+        }
+        1 => text.insert(at, c),
+        2 if at < text.len() => text[at] = c,
+        3 => text.truncate(at),
+        _ => {}
+    }
 }
 
 proptest! {
@@ -117,6 +143,45 @@ proptest! {
             } else {
                 prop_assert_eq!(at, leaf.loc.clone(), "mixed gens stay site-local");
                 prop_assert!(is_leaf);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The profile parser survives damaged files: after 1–4 random
+    /// character edits of a rendering, sealed or not, `from_str` never
+    /// panics, and anything it accepts renders to a render → parse → render
+    /// fixpoint.
+    #[test]
+    fn damaged_profile_text_never_panics_the_parser(
+        sites in proptest::collection::vec(arb_site(), 0..8),
+        calls in proptest::collection::vec(arb_call(), 0..8),
+        edits in proptest::collection::vec(arb_edit(), 1..5),
+    ) {
+        let mut profile = AllocationProfile::new();
+        for s in sites {
+            profile.add_site(s);
+        }
+        for c in calls {
+            profile.add_gen_call(c);
+        }
+        let plain = profile.to_string();
+        let mut sealed = plain.clone();
+        seal_profile_text(&mut sealed);
+        for rendering in [plain, sealed] {
+            let mut text: Vec<char> = rendering.chars().collect();
+            for &edit in &edits {
+                apply_edit(&mut text, edit);
+            }
+            let damaged: String = text.into_iter().collect();
+            if let Ok(parsed) = damaged.parse::<AllocationProfile>() {
+                let rendered = parsed.to_string();
+                let reparsed: AllocationProfile =
+                    rendered.parse().expect("a rendering parses");
+                prop_assert_eq!(reparsed.to_string(), rendered, "from {:?}", damaged);
             }
         }
     }

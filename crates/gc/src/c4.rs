@@ -109,13 +109,7 @@ impl C4Collector {
                 survivor_cap(heap, self.config.survivor_ratio),
             )?;
             let olds = reclaim_spaces(heap, &cycle, &[self.old_space()], 1.0, u32::MAX)?;
-            // See `G1Collector::full`: after a reclaiming cycle the mark's
-            // live set is exact, so publish it for snapshot reuse.
-            if roots.stack_roots().is_empty() {
-                heap.publish_live(cycle.live);
-            } else {
-                heap.retire_live_set(cycle.live);
-            }
+            heap.retire_live_set(cycle.live);
             (young, olds)
         } else {
             let live = heap.mark_live_young(roots.stack_roots());

@@ -102,35 +102,20 @@ impl CostModel {
         }
     }
 
-    /// Prices one pause performed by a single GC worker.
+    /// Prices one pause, whatever `gc_workers` is: a worker-dependent
+    /// simulated pause would change how many mutator operations fit a
+    /// time-budgeted run, and with them every profile (DESIGN.md §15). The
+    /// per-term integer divisions are part of the calibration; every
+    /// recorded simulated pause depends on them.
     pub fn pause(&self, work: &GcWork) -> SimDuration {
-        self.pause_with_workers(work, 1)
-    }
-
-    /// Prices one pause as performed by `workers` GC worker threads.
-    ///
-    /// The sharded mark and batched evacuation divide the per-byte and
-    /// per-object work evenly (claims make every accounting effect
-    /// exactly-once, so there is no duplicated work to price), while the
-    /// safepoint rendezvous and region-free bookkeeping stay serial — an
-    /// Amdahl split. `workers == 1` is exactly [`CostModel::pause`].
-    ///
-    /// Collectors report their pauses at serial pricing regardless of
-    /// `gc_workers`: a worker-dependent simulated pause would change how
-    /// many mutator operations fit a time-budgeted run, breaking the
-    /// bit-identical-at-any-worker-count contract (DESIGN.md §15). This
-    /// method is the modeled parallel pricing the perf gate reports over
-    /// measured work.
-    pub fn pause_with_workers(&self, work: &GcWork, workers: usize) -> SimDuration {
         const MIB: u64 = 1 << 20;
-        let workers = workers.max(1) as u64;
-        let parallel_us = work.traced_bytes * self.trace_us_per_mib / MIB
+        let work_us = work.traced_bytes * self.trace_us_per_mib / MIB
             + work.copied_bytes * self.copy_us_per_mib / MIB
             + work.promoted_bytes * self.promote_us_per_mib / MIB
             + work.compacted_bytes * self.compact_us_per_mib / MIB
             + work.traced_objects * self.visit_ns_per_object / 1_000;
-        let serial_us = self.safepoint_us + work.freed_regions * self.free_region_us;
-        SimDuration::from_micros(serial_us + parallel_us / workers)
+        let fixed_us = self.safepoint_us + work.freed_regions * self.free_region_us;
+        SimDuration::from_micros(fixed_us + work_us)
     }
 }
 
@@ -214,44 +199,6 @@ mod tests {
         assert_eq!(m.swept_objects, 12);
         assert_eq!(m.freed_regions, 14);
         assert_eq!(m.moved_bytes(), 2 * (3 + 4 + 5));
-    }
-
-    #[test]
-    fn workers_divide_only_the_parallel_charges() {
-        let model = CostModel::default();
-        let work = GcWork {
-            traced_bytes: 64 << 20,
-            traced_objects: 100_000,
-            copied_bytes: 16 << 20,
-            promoted_bytes: 8 << 20,
-            compacted_bytes: 32 << 20,
-            freed_regions: 40,
-            ..GcWork::default()
-        };
-        let serial = model.pause(&work);
-        assert_eq!(model.pause_with_workers(&work, 1), serial);
-        let fixed = model.safepoint_us + 40 * model.free_region_us;
-        let quad = model.pause_with_workers(&work, 4);
-        assert_eq!(quad.as_micros(), fixed + (serial.as_micros() - fixed) / 4);
-        // More workers never lengthen a pause, and the serial floor holds.
-        assert!(model.pause_with_workers(&work, 8) <= quad);
-        assert!(model.pause_with_workers(&work, 1_000).as_micros() >= fixed);
-    }
-
-    #[test]
-    fn work_dominated_pause_speeds_up_at_least_twofold_with_four_workers() {
-        // The BENCH_gc gate relies on this: a pause dominated by per-byte
-        // work (the large-workload shape) must model >= 2x at 4 workers.
-        let model = CostModel::default();
-        let work = GcWork {
-            traced_bytes: 150 << 20,
-            traced_objects: 500_000,
-            compacted_bytes: 120 << 20,
-            ..GcWork::default()
-        };
-        let one = model.pause_with_workers(&work, 1).as_micros();
-        let four = model.pause_with_workers(&work, 4).as_micros();
-        assert!(one >= 2 * four, "modeled speedup below 2x: {one} vs {four}");
     }
 
     #[test]

@@ -155,13 +155,7 @@ impl Ng2cCollector {
         if let Some(stale) = self.mark.take() {
             heap.retire_live_set(stale.live);
         }
-        // See `G1Collector::full`: after a full cycle the mark's live set is
-        // exact, so publish it for snapshot reuse (root-table-only traces).
-        if roots.stack_roots().is_empty() {
-            heap.publish_live(cycle.live);
-        } else {
-            heap.retire_live_set(cycle.live);
-        }
+        heap.retire_live_set(cycle.live);
         let work = young.merged(olds);
         // Cycle boundary: let the backend run deferred allocator
         // maintenance (tenured free-list coalescing).

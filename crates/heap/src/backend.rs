@@ -34,7 +34,7 @@
 //! Because the physical offset of an object inside its region's backing
 //! equals its logical [`Addr::offset`], the two backends produce
 //! bit-identical ObjectIds, page bits, snapshot columns, and GcWork at any
-//! worker count: the equality invariant perfgate's heap arm hard-gates.
+//! worker count (`tests/backend_properties.rs` checks it).
 
 use std::fmt;
 use std::ptr;
@@ -88,8 +88,8 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Byte counters a backend accumulates; the perfgate heap arm turns these
-/// into alloc-bandwidth and copy/compact GB/s figures.
+/// Byte counters a backend accumulates; `polm2-benchmark` reports them as
+/// its `heap.*` metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Object bytes established by `write_object` (allocation path).
@@ -100,15 +100,9 @@ pub struct BackendStats {
     /// Payload bytes memcpy'd by `copy_object` / the parallel copier.
     pub bytes_copied: u64,
     /// Wall-clock nanoseconds spent inside evacuation *copy phases* only
-    /// (reported via [`HeapBackend::note_copy_phase`]); the denominator of
-    /// a phase-accurate copy-bandwidth figure, as opposed to whole-pause
-    /// wall clock.
+    /// (reported via [`HeapBackend::note_copy_phase`]), as opposed to
+    /// whole-pause wall clock.
     pub copy_phase_ns: u64,
-    /// Critical-path payload bytes of the copy phases: the largest single
-    /// worker shard of each phase, summed. Equals `bytes_copied` for a
-    /// serial copier; the ratio `bytes_copied / copy_critical_bytes` is
-    /// the copy phase's partition-balance speedup.
-    pub copy_critical_bytes: u64,
     /// TLAB window refills on the allocation path (each covers many
     /// `write_object` calls when the windows are doing their job).
     pub tlab_refills: u64,
@@ -121,8 +115,8 @@ pub struct BackendStats {
 /// Memory behavior behind the heap's logical address layout.
 ///
 /// Implementations must never influence logical placement: the heap calls
-/// these hooks *after* it has decided addresses, and equality of sim and
-/// real outputs is a hard perfgate invariant.
+/// these hooks *after* it has decided addresses, and sim and real outputs
+/// must be bit-identical.
 pub trait HeapBackend: fmt::Debug + Send {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
@@ -205,10 +199,9 @@ pub trait HeapBackend: fmt::Debug + Send {
     }
 
     /// The heap finished one evacuation-copy phase that took `ns`
-    /// wall-clock nanoseconds with a critical-path (largest worker shard)
-    /// of `critical_bytes`. Accumulated into [`BackendStats`]; a no-op for
-    /// backends that never copy.
-    fn note_copy_phase(&mut self, _ns: u64, _critical_bytes: u64) {}
+    /// wall-clock nanoseconds. Accumulated into [`BackendStats`]; a no-op
+    /// for backends that never copy.
+    fn note_copy_phase(&mut self, _ns: u64) {}
 
     /// A GC cycle just completed: run deferred allocator maintenance
     /// (address-order free-list coalescing). Never influences logical
@@ -217,9 +210,6 @@ pub trait HeapBackend: fmt::Debug + Send {
 
     /// Current byte counters.
     fn stats(&self) -> BackendStats;
-
-    /// Resets the byte counters (footprint/backed-region gauges remain).
-    fn reset_stats(&mut self);
 }
 
 /// The historical simulated backend: address arithmetic only.
@@ -243,7 +233,6 @@ impl HeapBackend for SimBackend {
     fn stats(&self) -> BackendStats {
         BackendStats::default()
     }
-    fn reset_stats(&mut self) {}
 }
 
 /// Where a region's backing memory came from.
@@ -280,7 +269,6 @@ pub struct RealBackend {
     /// [`RegionCopier`] while the backend itself is only borrowed shared.
     bytes_copied: AtomicU64,
     copy_phase_ns: u64,
-    copy_critical_bytes: u64,
     regions_backed: u64,
 }
 
@@ -332,7 +320,6 @@ impl RealBackend {
             bytes_written: 0,
             bytes_copied: AtomicU64::new(0),
             copy_phase_ns: 0,
-            copy_critical_bytes: 0,
             regions_backed: 0,
         }
     }
@@ -596,9 +583,8 @@ impl HeapBackend for RealBackend {
         Ok(())
     }
 
-    fn note_copy_phase(&mut self, ns: u64, critical_bytes: u64) {
+    fn note_copy_phase(&mut self, ns: u64) {
         self.copy_phase_ns += ns;
-        self.copy_critical_bytes += critical_bytes;
     }
 
     fn gc_cycle_finished(&mut self) {
@@ -612,19 +598,10 @@ impl HeapBackend for RealBackend {
             bytes_written: self.bytes_written,
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             copy_phase_ns: self.copy_phase_ns,
-            copy_critical_bytes: self.copy_critical_bytes,
             tlab_refills: self.tlab_refills,
             regions_backed: self.regions_backed,
             footprint_bytes: (self.bump.footprint_bytes() + self.tenured.footprint_bytes()) as u64,
         }
-    }
-
-    fn reset_stats(&mut self) {
-        self.bytes_written = 0;
-        self.bytes_copied.store(0, Ordering::Relaxed);
-        self.copy_phase_ns = 0;
-        self.copy_critical_bytes = 0;
-        self.tlab_refills = 0;
     }
 }
 

@@ -16,7 +16,7 @@
 //!   queue and active-count live under one mutex, so "queue empty and no
 //!   worker active" is checked atomically — no missed-wakeup race.
 //! * **Deterministic merge.** Private bitmaps OR together, byte counters
-//!   add, and the published [`LiveSet::order`] is re-derived from the merged
+//!   add, and the returned [`LiveSet::order`] is re-derived from the merged
 //!   bitmap in ascending-id order — sort-free and schedule-independent.
 //!
 //! [`LiveSet::order`]: crate::LiveSet

@@ -45,11 +45,6 @@ pub struct RootTable {
     keyed: Vec<HashMap<u64, ObjectId>>,
     names: Vec<String>,
     by_name: HashMap<String, RootSlotId>,
-    /// Bumped on every mutation that can change the root *membership*
-    /// (push/remove/clear/set_keyed/remove_keyed). Consumers — the heap's
-    /// published-LiveSet validity check — compare versions to detect that a
-    /// previously computed reachability set may be stale.
-    version: u64,
 }
 
 impl RootTable {
@@ -100,7 +95,6 @@ impl RootTable {
     ///
     /// Panics if `slot` does not exist.
     pub fn push(&mut self, slot: RootSlotId, obj: ObjectId) {
-        self.version += 1;
         self.slots[slot.0 as usize].push(obj);
     }
 
@@ -114,7 +108,6 @@ impl RootTable {
         let v = &mut self.slots[slot.0 as usize];
         if let Some(pos) = v.iter().position(|&o| o == obj) {
             v.swap_remove(pos);
-            self.version += 1;
             true
         } else {
             false
@@ -128,7 +121,6 @@ impl RootTable {
     ///
     /// Panics if `slot` does not exist.
     pub fn clear_slot(&mut self, slot: RootSlotId) -> Vec<ObjectId> {
-        self.version += 1;
         self.keyed[slot.0 as usize].clear();
         std::mem::take(&mut self.slots[slot.0 as usize])
     }
@@ -141,7 +133,6 @@ impl RootTable {
     ///
     /// Panics if `slot` does not exist.
     pub fn set_keyed(&mut self, slot: RootSlotId, key: u64, obj: ObjectId) -> Option<ObjectId> {
-        self.version += 1;
         self.keyed[slot.0 as usize].insert(key, obj)
     }
 
@@ -151,11 +142,7 @@ impl RootTable {
     ///
     /// Panics if `slot` does not exist.
     pub fn remove_keyed(&mut self, slot: RootSlotId, key: u64) -> Option<ObjectId> {
-        let removed = self.keyed[slot.0 as usize].remove(&key);
-        if removed.is_some() {
-            self.version += 1;
-        }
-        removed
+        self.keyed[slot.0 as usize].remove(&key)
     }
 
     /// The keyed root at `key` in `slot`.
@@ -176,13 +163,6 @@ impl RootTable {
     pub fn root_count(&self) -> usize {
         self.slots.iter().map(Vec::len).sum::<usize>()
             + self.keyed.iter().map(HashMap::len).sum::<usize>()
-    }
-
-    /// The membership version: bumped by every mutation that can change
-    /// which objects are roots. Two equal versions guarantee the root set
-    /// has not changed in between.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Iterates over every root id in every slot (plain + keyed).
