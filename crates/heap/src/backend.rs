@@ -18,16 +18,17 @@
 //! generation ([`TlabWindow`]) serves consecutive `write_object` calls
 //! with a single bounds compare and one header store, refilling (and
 //! counting the refill) only when an allocation falls off the window.
-//! Both allocators hand their blocks out pre-zeroed — zeroing happens in
-//! bulk at prefault and when a released region's backing is recycled or
-//! freed inside a collection, HotSpot's `ZeroTLAB` discipline — so an
+//! Both allocators hand their blocks out zeroed — fresh chunks by the
+//! system allocator, released blocks re-zeroed in bulk inside the
+//! collection that frees them, HotSpot's `ZeroTLAB` discipline — so an
 //! object's payload content is defined (zeros) without the allocation
 //! path streaming payload-sized stores through the host's write-bandwidth
-//! ceiling; only the evacuation copy phase moves payload bytes. The configured heap is committed and pre-faulted at
-//! construction (the `-XX:+AlwaysPreTouch` analogue), so the store never
-//! eats a first-touch page fault. The tenured free list defers neighbor coalescing to one
-//! address-order pass per GC cycle ([`HeapBackend::gc_cycle_finished`]),
-//! keeping `free` O(1). The evacuation copy phase reports its own timing
+//! ceiling; only the evacuation copy phase moves payload bytes. Nothing is
+//! committed up front (`-XX:+AlwaysPreTouch` off): a heap page commits
+//! when an object store or copy first touches it. The tenured free list
+//! defers neighbor coalescing to one address-order pass per GC cycle
+//! ([`HeapBackend::gc_cycle_finished`]), keeping `free` O(1). The
+//! evacuation copy phase reports its own timing
 //! ([`HeapBackend::note_copy_phase`]) so bandwidth figures measure the
 //! copier, not the whole collection.
 //!
@@ -108,7 +109,7 @@ pub struct BackendStats {
     pub tlab_refills: u64,
     /// Regions currently backed by real memory.
     pub regions_backed: u64,
-    /// Total bytes obtained from the system allocator.
+    /// Chunk bytes obtained from the system allocator; pages commit on touch.
     pub footprint_bytes: u64,
 }
 
@@ -294,26 +295,21 @@ impl RealBackend {
     /// tenured free list is genuinely exercised.
     const REGIONS_PER_CHUNK: usize = 8;
 
-    /// Creates a real backend for the given heap geometry. The configured
-    /// heap (`total_bytes`, split at the young budget between the bump
-    /// arena and the tenured free list) is committed and pre-faulted up
-    /// front — the `-XX:+AlwaysPreTouch` analogue — so region carving and
-    /// object stores never pay first-touch page faults on the hot path.
+    /// Creates a real backend for the given heap geometry. Nothing is
+    /// allocated up front: the bump arena and the tenured free list grow a
+    /// chunk at a time as regions are assigned, and each chunk's pages
+    /// commit on first touch, so a heap costs only the memory it fills.
     pub fn new(config: &HeapConfig) -> Self {
         let region_bytes = config.region_bytes as usize;
         let page_bytes = config.page_bytes as usize;
         let chunk_bytes = region_bytes * Self::REGIONS_PER_CHUNK;
         let regions = config.region_count() as usize;
-        let mut bump = BumpArena::new(page_bytes, chunk_bytes);
-        bump.prefault(config.young_bytes as usize);
-        let mut tenured = FreeList::new(page_bytes, chunk_bytes);
-        tenured.prefault((config.total_bytes - config.young_bytes) as usize);
         RealBackend {
             region_bytes,
             bases: vec![ptr::null_mut(); regions],
             backing: vec![Backing::None; regions],
-            bump,
-            tenured,
+            bump: BumpArena::new(page_bytes, chunk_bytes),
+            tenured: FreeList::new(page_bytes, chunk_bytes),
             tlabs: [TlabWindow::empty(), TlabWindow::empty()],
             tlab_bytes: (config.tlab_bytes.min(config.region_bytes) as u32).max(1),
             tlab_refills: 0,
@@ -718,6 +714,36 @@ mod tests {
         b.ensure_region(RegionId::new(7), true);
         b.ensure_region(RegionId::new(8), false);
         assert_eq!(b.stats().footprint_bytes, footprint);
+    }
+
+    #[test]
+    fn heap_pages_commit_on_first_touch_and_hand_out_zeroed() {
+        let config = HeapConfig::paper_scaled().with_backend(BackendKind::Real);
+        let mut b = RealBackend::new(&config);
+        let fresh = (b.stats().footprint_bytes, b.stats().regions_backed);
+        assert_eq!(fresh, (0, 0), "construction must grow no chunk");
+        let chunk = RealBackend::REGIONS_PER_CHUNK as u64 * config.region_bytes;
+        // Only the first and last page of a block are read, which keeps the
+        // test fast under miri.
+        let page = config.page_bytes as usize;
+        let last_page = (config.region_bytes - config.page_bytes) as u32;
+        let ends_zero = |b: &RealBackend, region: u32| {
+            b.range_is_zero(addr(region, 0), page) == Some(true)
+                && b.range_is_zero(addr(region, last_page), page) == Some(true)
+        };
+        let hash = IdentityHash::from_raw(0xC0FF_EE00);
+        for (region, young, footprint) in [(0, true, chunk), (40, false, 2 * chunk)] {
+            b.ensure_region(RegionId::new(region), young);
+            assert_eq!(b.stats().footprint_bytes, footprint, "one chunk per grow");
+            assert!(ends_zero(&b, region), "fresh chunk handed out dirty");
+            b.write_object(addr(region, 0), 64, hash);
+            b.write_object(addr(region, last_page), page as u32, hash);
+            assert!(!ends_zero(&b, region));
+            b.release_region(RegionId::new(region));
+            b.ensure_region(RegionId::new(region), young);
+            assert_eq!(b.stats().footprint_bytes, footprint, "block reused");
+            assert!(ends_zero(&b, region), "released block handed back dirty");
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! system allocator and carves fixed-alignment blocks out of them by
 //! bumping a cursor — the allocation discipline of a young generation,
 //! where regions are handed out whole and returned whole. Every block the
-//! arena hands out is **zeroed**: fresh chunks are zeroed when carved (or
-//! up front by [`prefault`](BumpArena::prefault)) and recycled blocks are
+//! arena hands out is **zeroed**: fresh chunks come zeroed, and uncommitted
+//! until first touch, from the system allocator, and recycled blocks are
 //! re-zeroed at [`recycle`](BumpArena::recycle) time — the HotSpot
 //! `ZeroTLAB` discipline, where bulk re-zeroing rides along with the GC
 //! that releases the memory instead of being paid per object on the
@@ -19,30 +19,80 @@
 //! addresses, so the arena never has to re-derive which chunk a pointer came
 //! from — and the pointer arithmetic stays provenance-clean under Miri.
 
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 
-/// Zeroes the whole allocation with one streaming memset — the
-/// `-XX:+AlwaysPreTouch` analogue. This makes the kernel materialize every
-/// backing frame now (a first-touch soft fault costs microseconds on the
-/// bench host, which a 2 KiB-object allocation loop would otherwise pay
-/// every other object) and, because stores allocate cache lines, leaves
-/// the chunk's lines LLC-resident, so the first object store into each
-/// line pays neither a fault nor a read-for-ownership from DRAM.
+/// Re-zeroes released memory in one memset — the GC-side half of the
+/// zeroed-handout contract, paid inside the collection that released the
+/// block so that allocation stays a header store.
 ///
 /// # Safety
 ///
 /// `ptr` must be valid for writes of `bytes` bytes.
-pub(crate) unsafe fn pretouch(ptr: *mut u8, bytes: usize) {
+pub(crate) unsafe fn rezero(ptr: *mut u8, bytes: usize) {
     // SAFETY: the caller guarantees `bytes` writable bytes at `ptr`.
     unsafe { std::ptr::write_bytes(ptr, 0, bytes) };
 }
 
-/// One system-allocated chunk the arena carves blocks from.
+/// A zeroed, aligned span of system memory that [`BumpArena`] and
+/// [`FreeList`](crate::free_list::FreeList) carve blocks from.
 #[derive(Debug)]
-struct Chunk {
+pub(crate) struct Chunk {
+    /// Start of the usable span.
     ptr: NonNull<u8>,
+    /// Usable bytes from `ptr`.
+    len: usize,
+    /// The system allocation behind the span, freed on drop.
+    raw: NonNull<u8>,
     layout: Layout,
+}
+
+impl Chunk {
+    /// `len` zeroed bytes aligned to `align`, left untouched: the kernel
+    /// commits and zero-fills each page on first touch (a JVM heap without
+    /// `-XX:+AlwaysPreTouch`), so pages the heap never uses cost nothing.
+    pub(crate) fn zeroed(len: usize, align: usize) -> Chunk {
+        // Byte alignment keeps std's `alloc_zeroed` on `calloc`, which zeroes
+        // only memory it recycles and leaves fresh pages to the kernel; an
+        // over-aligned layout gets `posix_memalign` plus a memset of the
+        // whole span. The extra `align` bytes make room to align by hand.
+        let layout = Layout::from_size_align(len + align, 1).expect("valid chunk layout");
+        // SAFETY: `layout` has non-zero size (align >= 1).
+        let raw = unsafe { alloc_zeroed(layout) };
+        let Some(raw) = NonNull::new(raw) else {
+            handle_alloc_error(layout)
+        };
+        let pad = raw.as_ptr().addr().wrapping_neg() & (align - 1);
+        // SAFETY: `pad < align`, so `[pad, pad + len)` is in bounds.
+        let ptr = unsafe { raw.add(pad) };
+        Chunk {
+            ptr,
+            len,
+            raw,
+            layout,
+        }
+    }
+
+    /// Usable bytes in the span.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The address `offset` bytes into the span, where a block of `size`
+    /// bytes was carved. Panics if the block does not fit in the span.
+    pub(crate) fn at(&self, offset: usize, size: usize) -> NonNull<u8> {
+        assert!(size <= self.len && offset <= self.len - size);
+        // SAFETY: the assert keeps `[offset, offset + size)` in the span.
+        unsafe { self.ptr.add(offset) }
+    }
+}
+
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        // SAFETY: `raw` was allocated with exactly this layout and is
+        // deallocated once, here.
+        unsafe { dealloc(self.raw.as_ptr(), self.layout) };
+    }
 }
 
 /// Handle to one block carved from a [`BumpArena`].
@@ -117,7 +167,7 @@ impl BumpArena {
         // Advance through (or grow) the chunk list until the block fits.
         loop {
             if self.current < self.chunks.len() {
-                let capacity = self.chunks[self.current].layout.size();
+                let capacity = self.chunks[self.current].len;
                 if self.cursor + size <= capacity {
                     let block = BumpBlock {
                         chunk: self.current as u32,
@@ -133,38 +183,9 @@ impl BumpArena {
                 self.cursor = 0;
                 continue;
             }
-            let bytes = self.chunk_bytes.max(size);
-            let layout = Layout::from_size_align(bytes, self.align).expect("valid chunk layout");
-            // SAFETY: `layout` has non-zero size (bytes >= align >= 1).
-            let raw = unsafe { alloc(layout) };
-            let Some(ptr) = NonNull::new(raw) else {
-                handle_alloc_error(layout)
-            };
-            // Demand growth past the prefaulted pool: zero the chunk now so
-            // the handout contract holds. Cold, once per chunk.
-            // SAFETY: the chunk spans `layout.size()` writable bytes.
-            unsafe { pretouch(ptr.as_ptr(), layout.size()) };
-            self.chunks.push(Chunk { ptr, layout });
-        }
-    }
-
-    /// Pre-allocates and [`pretouch`]es chunks until the arena's footprint
-    /// covers `bytes`, so demand carving ([`alloc`](BumpArena::alloc))
-    /// serves page-warm memory instead of paying first-touch faults inside
-    /// the allocation hot path. Requests beyond the pre-faulted pool still
-    /// grow on demand (cold, once).
-    pub fn prefault(&mut self, bytes: usize) {
-        while self.footprint_bytes() < bytes {
-            let layout =
-                Layout::from_size_align(self.chunk_bytes, self.align).expect("valid chunk layout");
-            // SAFETY: `layout` has non-zero size (chunk_bytes >= align >= 1).
-            let raw = unsafe { alloc(layout) };
-            let Some(ptr) = NonNull::new(raw) else {
-                handle_alloc_error(layout)
-            };
-            // SAFETY: the chunk spans `layout.size()` writable bytes.
-            unsafe { pretouch(ptr.as_ptr(), layout.size()) };
-            self.chunks.push(Chunk { ptr, layout });
+            // Fresh chunks come zeroed: no memset, pages commit on touch.
+            self.chunks
+                .push(Chunk::zeroed(self.chunk_bytes.max(size), self.align));
         }
     }
 
@@ -178,7 +199,7 @@ impl BumpArena {
         debug_assert!((block.chunk as usize) < self.chunks.len());
         // SAFETY: the block was carved from this chunk and is being
         // surrendered by its sole owner; its `size` bytes are writable.
-        unsafe { pretouch(self.ptr(block).as_ptr(), block.size) };
+        unsafe { rezero(self.ptr(block).as_ptr(), block.size) };
         self.recycled.push(block);
     }
 
@@ -191,24 +212,20 @@ impl BumpArena {
         self.current = 0;
         self.cursor = 0;
         for chunk in &self.chunks {
-            // SAFETY: each chunk spans `layout.size()` writable bytes and
-            // no outstanding block references remain after a reset.
-            unsafe { pretouch(chunk.ptr.as_ptr(), chunk.layout.size()) };
+            // SAFETY: each chunk spans `len` writable bytes and no
+            // outstanding block references remain after a reset.
+            unsafe { rezero(chunk.ptr.as_ptr(), chunk.len) };
         }
     }
 
     /// The base pointer of `block`.
     pub fn ptr(&self, block: BumpBlock) -> NonNull<u8> {
-        let chunk = &self.chunks[block.chunk as usize];
-        debug_assert!(block.offset + block.size <= chunk.layout.size());
-        // SAFETY: the block was carved from this chunk, so
-        // `offset + size <= layout.size()` and the result stays in bounds.
-        unsafe { NonNull::new_unchecked(chunk.ptr.as_ptr().add(block.offset)) }
+        self.chunks[block.chunk as usize].at(block.offset, block.size)
     }
 
-    /// Total bytes obtained from the system allocator.
+    /// Chunk bytes obtained from the system allocator; pages commit on touch.
     pub fn footprint_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.layout.size()).sum()
+        self.chunks.iter().map(|c| c.len).sum()
     }
 
     /// Number of blocks currently on the recycle stack.
@@ -252,16 +269,6 @@ impl BumpArena {
             }
         }
         Ok(())
-    }
-}
-
-impl Drop for BumpArena {
-    fn drop(&mut self) {
-        for chunk in &self.chunks {
-            // SAFETY: each chunk was allocated with exactly this layout and
-            // is deallocated once, here.
-            unsafe { dealloc(chunk.ptr.as_ptr(), chunk.layout) };
-        }
     }
 }
 

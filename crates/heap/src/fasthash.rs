@@ -19,7 +19,7 @@ impl Hasher for IdHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (used for compound keys): FNV-style fold.
+        // Generic fallback (compound keys, root slot names): FNV-style fold.
         for &b in bytes {
             self.state = (self.state ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }

@@ -3,13 +3,14 @@
 //! A [`FreeList`] owns large page-aligned chunks obtained from the system
 //! allocator and serves variable-sized blocks out of them. Every block
 //! handed out is **zeroed**, the same handout contract as
-//! [`BumpArena`](crate::bump::BumpArena): fresh chunks are zeroed at carve
-//! and freed blocks are re-zeroed at [`free`](FreeList::free) time — which
-//! the backend only reaches from a region release inside a collection, so
-//! the bulk memset is charged to GC wall-clock, never to the allocation
-//! path. Splitting and merging preserve the contract for free (zeroed
-//! fragments of zeroed blocks), which is what lets tenured allocation
-//! store only the 8-byte object header.
+//! [`BumpArena`](crate::bump::BumpArena): fresh chunks come zeroed, and
+//! uncommitted until first touch, from the system allocator, and freed
+//! blocks are re-zeroed at [`free`](FreeList::free) time — which the
+//! backend only reaches from a region release inside a collection, so the
+//! bulk memset is charged to GC wall-clock, never to the allocation path.
+//! Splitting and merging preserve the contract for free (zeroed fragments
+//! of zeroed blocks), which is what lets tenured allocation store only the
+//! 8-byte object header.
 //!
 //! Free space is **segregated by size class**: class `c` holds free blocks
 //! of `granule * 2^c ..= granule * (2^(c+1) - 1)` bytes (the last class is
@@ -35,10 +36,9 @@
 //! provenance clean under Miri and makes `free` order-independent with no
 //! address lookup.
 
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 
-use crate::bump::pretouch;
+use crate::bump::{rezero, Chunk};
 
 /// Number of size classes. Class `c` holds free blocks of
 /// `granule * 2^c ..= granule * (2^(c+1) - 1)` bytes; the last class is
@@ -53,13 +53,6 @@ const CLASS_LUT_GRANULES: usize = 4096;
 /// How many blocks of the request's own class the bounded first-fit scan
 /// inspects before escalating to a strictly higher class.
 const CLASS_SCAN: usize = 8;
-
-/// One system-allocated chunk the free list carves blocks from.
-#[derive(Debug)]
-struct Chunk {
-    ptr: NonNull<u8>,
-    layout: Layout,
-}
 
 /// Handle to one allocated block. Must be passed back to
 /// [`FreeList::free`] exactly once; the memory stays valid until then (or
@@ -216,38 +209,6 @@ impl FreeList {
         }
     }
 
-    fn grow(&mut self, at_least: usize) {
-        let bytes = self.round_up(at_least.max(self.min_chunk));
-        let layout = Layout::from_size_align(bytes, self.granule).expect("valid chunk layout");
-        // SAFETY: `layout` has non-zero size (bytes >= granule >= 1).
-        let raw = unsafe { alloc(layout) };
-        let Some(ptr) = NonNull::new(raw) else {
-            handle_alloc_error(layout)
-        };
-        // Zero at carve so the handout contract holds; chunks past the
-        // prefaulted pool pay this cold, once.
-        // SAFETY: the chunk spans `layout.size()` writable bytes.
-        unsafe { pretouch(ptr.as_ptr(), layout.size()) };
-        self.chunks.push(Chunk { ptr, layout });
-        let chunk = (self.chunks.len() - 1) as u32;
-        self.push_slot(Slot {
-            chunk,
-            offset: 0,
-            size: bytes,
-        });
-    }
-
-    /// Grows chunks until the list's footprint covers `bytes`, leaving the
-    /// memory on the free list zeroed, page-warm, and ready to serve — the
-    /// tenured half of the `-XX:+AlwaysPreTouch` analogue (see
-    /// [`BumpArena::prefault`](crate::bump::BumpArena::prefault)). Demand
-    /// beyond the pre-faulted pool still grows cold, once.
-    pub fn prefault(&mut self, bytes: usize) {
-        while self.footprint_bytes() < bytes {
-            self.grow(self.min_chunk);
-        }
-    }
-
     /// Allocates a block of at least `size` bytes (rounded up to the
     /// granule) with every byte zeroed (see the module docs), splitting the
     /// chosen free block and keeping the remainder on the list.
@@ -264,7 +225,14 @@ impl FreeList {
                 return block;
             }
         }
-        self.grow(size);
+        // Grow. Fresh chunks come zeroed: no memset, pages commit on touch.
+        let bytes = self.round_up(size.max(self.min_chunk));
+        self.chunks.push(Chunk::zeroed(bytes, self.granule));
+        self.push_slot(Slot {
+            chunk: (self.chunks.len() - 1) as u32,
+            offset: 0,
+            size: bytes,
+        });
         self.try_alloc(size).expect("fresh chunk fits the request")
     }
 
@@ -278,7 +246,7 @@ impl FreeList {
     pub fn free(&mut self, block: FreeBlock) {
         // SAFETY: the block is live (not yet freed) and spans `size`
         // writable bytes of its chunk; the caller surrenders it here.
-        unsafe { pretouch(self.ptr(block).as_ptr(), block.size) };
+        unsafe { rezero(self.ptr(block).as_ptr(), block.size) };
         self.push_slot(Slot {
             chunk: block.chunk,
             offset: block.offset,
@@ -329,16 +297,12 @@ impl FreeList {
 
     /// The base pointer of `block`.
     pub fn ptr(&self, block: FreeBlock) -> NonNull<u8> {
-        let chunk = &self.chunks[block.chunk as usize];
-        debug_assert!(block.offset + block.size <= chunk.layout.size());
-        // SAFETY: the block was carved from this chunk, so
-        // `offset + size <= layout.size()` and the result stays in bounds.
-        unsafe { NonNull::new_unchecked(chunk.ptr.as_ptr().add(block.offset)) }
+        self.chunks[block.chunk as usize].at(block.offset, block.size)
     }
 
-    /// Total bytes obtained from the system allocator.
+    /// Chunk bytes obtained from the system allocator; pages commit on touch.
     pub fn footprint_bytes(&self) -> usize {
-        self.chunks.iter().map(|c| c.layout.size()).sum()
+        self.chunks.iter().map(Chunk::len).sum()
     }
 
     /// Bytes currently handed out to callers.
@@ -374,7 +338,7 @@ impl FreeList {
                 if !slot.offset.is_multiple_of(self.granule) {
                     return Err(format!("misaligned free offset {:#x}", slot.offset));
                 }
-                if slot.offset + slot.size > self.chunks[slot.chunk as usize].layout.size() {
+                if slot.offset + slot.size > self.chunks[slot.chunk as usize].len() {
                     return Err(format!(
                         "free block out of bounds: chunk {} offset {:#x} size {}",
                         slot.chunk, slot.offset, slot.size
@@ -415,12 +379,10 @@ impl FreeList {
     /// stale or wild write. Returns a description of the first dirty byte.
     pub fn check_zeroed(&self) -> Result<(), String> {
         for slot in self.classes.iter().flatten() {
-            let chunk = &self.chunks[slot.chunk as usize];
+            let p = self.chunks[slot.chunk as usize].at(slot.offset, slot.size);
             // SAFETY: the slot lies in-bounds of its chunk (validated at
             // every push) and the list exclusively owns the memory.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(chunk.ptr.as_ptr().add(slot.offset), slot.size)
-            };
+            let bytes = unsafe { std::slice::from_raw_parts(p.as_ptr(), slot.size) };
             if let Some(pos) = bytes.iter().position(|&b| b != 0) {
                 return Err(format!(
                     "free block at chunk {} offset {:#x} holds non-zero byte {:#04x} at +{:#x}",
@@ -447,13 +409,10 @@ impl FreeList {
             }
             let slot = list[k];
             let offset = ((selector >> 8) % slot.size as u64) as usize;
-            let chunk = &self.chunks[slot.chunk as usize];
+            let p = self.chunks[slot.chunk as usize].at(slot.offset + offset, 1);
             // SAFETY: `slot.offset + offset < slot.offset + slot.size`,
             // in-bounds of the chunk the list owns.
-            unsafe {
-                let p = chunk.ptr.as_ptr().add(slot.offset + offset);
-                p.write(p.read() ^ mask);
-            }
+            unsafe { p.write(p.read() ^ mask) };
             return true;
         }
         false
@@ -480,16 +439,6 @@ impl FreeList {
                     "adjacent free blocks not coalesced"
                 );
             }
-        }
-    }
-}
-
-impl Drop for FreeList {
-    fn drop(&mut self) {
-        for chunk in &self.chunks {
-            // SAFETY: each chunk was allocated with exactly this layout and
-            // is deallocated once, here.
-            unsafe { dealloc(chunk.ptr.as_ptr(), chunk.layout) };
         }
     }
 }

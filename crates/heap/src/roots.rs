@@ -7,8 +7,7 @@
 //!
 //! [`Heap::mark_live`]: crate::Heap::mark_live
 
-use std::collections::HashMap;
-
+use crate::fasthash::IdHashMap;
 use crate::ObjectId;
 
 /// Identifies one named root slot.
@@ -42,9 +41,9 @@ pub struct RootTable {
     slots: Vec<Vec<ObjectId>>,
     /// Keyed roots per slot: `set_keyed` replaces in O(1), the pattern for
     /// map-shaped application structures (document tables, key indexes).
-    keyed: Vec<HashMap<u64, ObjectId>>,
+    keyed: Vec<IdHashMap<u64, ObjectId>>,
     names: Vec<String>,
-    by_name: HashMap<String, RootSlotId>,
+    by_name: IdHashMap<String, RootSlotId>,
 }
 
 impl RootTable {
@@ -60,7 +59,7 @@ impl RootTable {
         }
         let id = RootSlotId(self.slots.len() as u32);
         self.slots.push(Vec::new());
-        self.keyed.push(HashMap::new());
+        self.keyed.push(IdHashMap::default());
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), id);
         id
@@ -162,7 +161,7 @@ impl RootTable {
     /// Total number of root references across all slots (plain + keyed).
     pub fn root_count(&self) -> usize {
         self.slots.iter().map(Vec::len).sum::<usize>()
-            + self.keyed.iter().map(HashMap::len).sum::<usize>()
+            + self.keyed.iter().map(IdHashMap::len).sum::<usize>()
     }
 
     /// Iterates over every root id in every slot (plain + keyed).
@@ -240,5 +239,19 @@ mod tests {
         let mut all: Vec<u64> = r.iter().map(|o| o.raw()).collect();
         all.sort_unstable();
         assert_eq!(all, vec![10, 20]);
+    }
+
+    #[test]
+    fn identically_built_tables_iterate_in_the_same_order() {
+        let build = || {
+            let mut r = RootTable::new();
+            let docs = r.create_slot("docs");
+            for key in 0..64 {
+                r.set_keyed(docs, key * 7919, ObjectId::new(key));
+            }
+            r
+        };
+        let (a, b) = (build(), build());
+        assert!(a.iter().eq(b.iter()), "root order depends on the table");
     }
 }

@@ -20,11 +20,12 @@
 //! [`FreeList`](crate::free_list::FreeList)), so establishing an object
 //! costs one unaligned store of the 8-byte header
 //! `(hash << 32) | size` and the payload's defined content is the zeros
-//! already there. That is what keeps real allocation near sim speed: a
-//! 4 KiB object touches one cache line, not 64, and the allocation path
-//! never streams payload-sized stores through the host's write-bandwidth
-//! ceiling. Payload bytes move only in the evacuation copy phase, which
-//! `memcpy`s header + payload together.
+//! already there (the first store into a never-touched page also takes the
+//! kernel's fault that commits it). That is what keeps real allocation
+//! near sim speed: a 4 KiB object touches one cache line, not 64, and the
+//! allocation path never streams payload-sized stores through the host's
+//! write-bandwidth ceiling. Payload bytes move only in the evacuation copy
+//! phase, which `memcpy`s header + payload together.
 //!
 //! # Safety model
 //!
@@ -153,10 +154,10 @@ impl TlabWindow {
 
 /// Header-only object store for pre-zeroed backing: writes the 8-byte
 /// object header `(hash << 32) | size` (little endian) and nothing else —
-/// the payload's defined content is the zeros the block provider
-/// established in bulk (prefault, recycle, free). Objects smaller than a
-/// header store nothing at all; their whole payload is zeros and readers
-/// fall back to the object table.
+/// the payload's defined content is the zeros the block provider handed
+/// out (fresh from the system allocator, or re-zeroed in bulk at recycle or
+/// free). Objects smaller than a header store nothing at all; their whole
+/// payload is zeros and readers fall back to the object table.
 ///
 /// # Safety
 ///

@@ -13,7 +13,11 @@
 #      uncorrupted run (comment lines — the fault ledger's verify-pass
 #      count — legitimately differ; nothing else may);
 #   4. fleet isolation: a fleet whose every tenant is corrupted exits 6
-#      with each tenant quarantined as `heap-corrupt`.
+#      with each tenant quarantined as `heap-corrupt`;
+#   5. backend identity at full size: a lucene profile on the real backend
+#      is byte-identical to the same run on the sim backend. The run uses
+#      the 256 MiB evaluation heap, so both real allocators grow chunks on
+#      demand (the core suites compare backends only on a 4 MiB heap).
 #
 # Usage: scripts/heap_chaos_smoke.sh
 # Env:   POLM2 (binary, default target/release/polm2)
@@ -67,5 +71,11 @@ if [[ "$code" -ne 6 ]]; then
 fi
 grep -q "heap-corrupt" "$work/fleet.out" || {
   echo "FAIL: quarantine ledger does not say heap-corrupt"; cat "$work/fleet.out"; exit 1; }
+
+echo "== 5. real and sim backends write the same profile"
+"$POLM2" profile lucene --minutes 1 --heap-backend real --out "$work/real.profile"
+"$POLM2" profile lucene --minutes 1 --heap-backend sim --out "$work/sim.profile"
+cmp "$work/real.profile" "$work/sim.profile" || {
+  echo "FAIL: the real backend changed the lucene profile"; exit 1; }
 
 echo "heap-chaos smoke passed"
