@@ -46,7 +46,7 @@
 //! continues unharmed. A dead journal simply has no commit record, which
 //! resume treats like any crash.
 
-use polm2_heap::{IdHashSet, IdentityHash};
+use polm2_heap::IdentityHash;
 use polm2_metrics::{FaultCounters, SimDuration, SimTime};
 use polm2_runtime::TraceFrame;
 use polm2_snapshot::journal::{put_str, put_u16, put_u32, put_u64, WireReader};
@@ -296,11 +296,6 @@ impl SessionJournal {
         self
     }
 
-    /// True once a frame was abandoned and journaling stopped.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// True once the commit record was durably written.
     pub fn is_committed(&self) -> bool {
         self.writer.is_committed()
@@ -433,10 +428,9 @@ impl SessionJournal {
     }
 
     /// Journals every snapshot `series` holds beyond the journal's cursor,
-    /// as delta frames streamed straight from the index's push-time diffs.
+    /// as delta frames encoded straight from the index's push-time diffs.
     /// Called right after each push, so "beyond the cursor" is normally
-    /// exactly one snapshot — but the catch-up loop keeps the journal right
-    /// even if a caller batches pushes.
+    /// exactly one snapshot, but a caller may batch pushes.
     pub fn sync_snapshots(
         &mut self,
         series: &SnapshotSeries,
@@ -448,29 +442,11 @@ impl SessionJournal {
         }
         while self.snapshot_cursor < series.len() {
             let i = self.snapshot_cursor;
-            let snap = &series.snapshots()[i];
-            // The common case: the snapshot just pushed, and its delta is
-            // sitting in the index — no re-diff. A series whose index has
-            // fewer columns than snapshots (possible only through a foreign
-            // constructor) falls through to the catch-up re-diff below
-            // rather than asserting the invariant.
-            let fresh_delta = if i + 1 == series.len() && series.index().len() == series.len() {
-                series.index().last_delta()
-            } else {
-                None
-            };
-            let payload = if let Some((added, removed)) = fresh_delta {
-                encode_snapshot(snap, added, removed)
-            } else {
-                // Catch-up: re-derive the delta for an older snapshot.
-                let prev: &[u64] = if i == 0 {
-                    &[]
-                } else {
-                    series.snapshots()[i - 1].sorted_hashes()
-                };
-                let (added, removed) = diff_sorted(prev, snap.sorted_hashes());
-                encode_snapshot(snap, &added, &removed)
-            };
+            let (added, removed) = series
+                .index()
+                .delta(i)
+                .expect("a series indexes every snapshot it holds");
+            let payload = encode_snapshot(&series.snapshots()[i], added, removed);
             let _ = self.append_retrying(KIND_SNAPSHOT, &payload, counters, charge);
             if self.dead {
                 return;
@@ -502,33 +478,6 @@ impl SessionJournal {
         };
         let _ = self.append_retrying(KIND_COMMIT, &summary.encode(), counters, charge);
     }
-}
-
-/// `(added, removed)` between two sorted columns (catch-up path only; the
-/// steady state reads the index's push-time delta).
-fn diff_sorted(prev: &[u64], cur: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < prev.len() && j < cur.len() {
-        match prev[i].cmp(&cur[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                removed.push(prev[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                added.push(cur[j]);
-                j += 1;
-            }
-        }
-    }
-    removed.extend_from_slice(&prev[i..]);
-    added.extend_from_slice(&cur[j..]);
-    (added, removed)
 }
 
 /// A journal replayed back into session state.
@@ -578,7 +527,6 @@ pub fn replay(frames: &[Frame]) -> Result<ReplayedSession, JournalError> {
     let mut records = AllocationRecords::default();
     let mut snapshots = SnapshotSeries::new();
     let mut commit: Option<CommitSummary> = None;
-    let mut prev_column: Vec<u64> = Vec::new();
 
     for (i, frame) in frames.iter().enumerate() {
         let at = i as u64;
@@ -671,13 +619,14 @@ pub fn replay(frames: &[Frame]) -> Result<ReplayedSession, JournalError> {
                     removed.push(u64::from(r.u32()?));
                 }
                 r.expect_exhausted()?;
-                let column = apply_delta(at, &prev_column, &added, &removed)?;
-                let hashes: IdHashSet<IdentityHash> = column
-                    .iter()
-                    .map(|&h| IdentityHash::from_raw(h as u32))
-                    .collect();
-                snapshots.push(Snapshot::new(seq, at_time, hashes, size_bytes, capture));
-                prev_column = column;
+                let prev = snapshots
+                    .snapshots()
+                    .last()
+                    .map_or(&[][..], |s| s.sorted_hashes());
+                let column = apply_delta(at, prev, &added, &removed)?;
+                snapshots.push(Snapshot::from_sorted_column(
+                    seq, at_time, column, size_bytes, capture,
+                ));
             }
             KIND_COMMIT => {
                 let summary = CommitSummary::decode(&frame.payload)?;
@@ -872,6 +821,29 @@ mod tests {
         assert_series_equal(&series, &replayed.snapshots);
         let commit = replayed.commit.unwrap();
         assert_eq!(commit.total_records, records.total_records());
+    }
+
+    #[test]
+    fn batched_snapshot_pushes_journal_every_delta() {
+        let dir = tempdir("batched");
+        let writer = JournalWriter::create_clean(Box::new(FsMedia), &dir, 1 << 20).unwrap();
+        let mut j =
+            SessionJournal::create(writer, &meta(), JournalRetryPolicy::default(), &mut |_| {})
+                .unwrap();
+        let records = AllocationRecords::default();
+        let mut series = SnapshotSeries::new();
+        for ids in [&[1u64, 2, 3][..], &[2, 3, 4], &[4, 9]] {
+            series.push(snap(series.len() as u32, ids));
+        }
+        let mut counters = FaultCounters::new();
+        j.sync_snapshots(&series, &mut counters, &mut |_| {});
+        j.commit(&records, &series, &mut counters, &mut |_| {});
+        assert!(j.is_committed());
+        let frames = journal::recover(&mut FsMedia, &dir, KIND_COMMIT)
+            .unwrap()
+            .frames;
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_series_equal(&series, &replay(&frames).unwrap().snapshots);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use polm2_gc::{
     AllocRequest, C4Collector, Collector, G1Collector, GcConfig, Ng2cCollector, SafepointRoots,
     ThreadId,
 };
-use polm2_heap::{BackendKind, Heap, HeapConfig, ObjectId, SiteId};
+use polm2_heap::{BackendKind, EvacDecision, Heap, HeapConfig, ObjectId, SiteId};
 use polm2_metrics::SimTime;
 use polm2_snapshot::{CriuDumper, HeapDumper, Snapshot};
 
@@ -125,7 +125,7 @@ struct Wiring {
 }
 
 /// Applies every mutation kind: allocate, `add_ref`, `remove_ref`, root
-/// push, root remove and `drop_object`.
+/// push, root remove and a one-op `evacuate_batch` drop.
 fn mutate(heap: &mut Heap, gc: &mut dyn Collector, prev: Option<&Wiring>) -> Wiring {
     // Allocate: more rooted survivors plus short-lived garbage.
     let kept = churn(heap, gc, 40);
@@ -142,9 +142,10 @@ fn mutate(heap: &mut Heap, gc: &mut dyn Collector, prev: Option<&Wiring>) -> Wir
     if let Some(prev) = prev {
         // remove_ref: the previous chain becomes garbage...
         assert!(heap.remove_ref(prev.parent, prev.head).expect("edge"));
-        // ...and drop_object frees its head, which nothing references now.
+        // ...and a drop frees its head, which nothing references now.
         assert!(!reachable(heap).contains(&prev.head), "head is unreachable");
-        heap.drop_object(prev.head).expect("dropped");
+        heap.evacuate_batch(&[(prev.head, EvacDecision::Drop)])
+            .expect("dropped");
         // Root remove, in both slots.
         assert!(heap.roots_mut().remove(extra_slot, prev.extra));
         let survivors = heap.roots().find_slot("survivors").expect("slot");

@@ -12,7 +12,7 @@
 //!   real memory — young regions from a pointer-bump arena
 //!   ([`BumpArena`]), tenured regions from a size-class segregated free
 //!   list ([`FreeList`]) — establishes each object's bytes on allocation,
-//!   and `memcpy`s payloads on relocate/evacuate.
+//!   and `memcpy`s payloads in the evacuation copy phase.
 //!
 //! The allocation hot path is TLAB-style: one cached write window per
 //! generation ([`TlabWindow`]) serves consecutive `write_object` calls
@@ -98,7 +98,8 @@ pub struct BackendStats {
     /// the store itself touches only the header line; the count is the
     /// object bytes made valid, not the bytes the store streamed.
     pub bytes_written: u64,
-    /// Payload bytes memcpy'd by `copy_object` / the parallel copier.
+    /// Payload bytes memcpy'd by the evacuation copy phase (through
+    /// [`RegionCopier`]).
     pub bytes_copied: u64,
     /// Wall-clock nanoseconds spent inside evacuation *copy phases* only
     /// (reported via [`HeapBackend::note_copy_phase`]), as opposed to
@@ -135,9 +136,6 @@ pub trait HeapBackend: fmt::Debug + Send {
     /// the header; the payload's defined content is the zeros the
     /// allocator handed the backing out with.
     fn write_object(&mut self, addr: Addr, size: u32, hash: IdentityHash);
-
-    /// An object was relocated from `from` to `to`: copy its payload.
-    fn copy_object(&mut self, from: Addr, to: Addr, size: u32);
 
     /// Reads the identity hash back out of the object header at `addr`, or
     /// `None` if this backend keeps no memory or the object is too small to
@@ -224,7 +222,6 @@ impl HeapBackend for SimBackend {
     fn ensure_region(&mut self, _region: RegionId, _young: bool) {}
     fn release_region(&mut self, _region: RegionId) {}
     fn write_object(&mut self, _addr: Addr, _size: u32, _hash: IdentityHash) {}
-    fn copy_object(&mut self, _from: Addr, _to: Addr, _size: u32) {}
     fn read_header_hash(&self, _addr: Addr, _size: u32) -> Option<IdentityHash> {
         None
     }
@@ -261,8 +258,8 @@ pub struct RealBackend {
     /// Per-generation allocation windows (young, tenured): the TLAB-style
     /// fast path `write_object` hits before any region lookup.
     tlabs: [TlabWindow; 2],
-    /// Window length installed on refill (the `--tlab-kb` knob), clamped
-    /// to the region size.
+    /// Window length installed on refill ([`HeapConfig::tlab_bytes`]),
+    /// clamped to the region size.
     tlab_bytes: u32,
     tlab_refills: u64,
     bytes_written: u64,
@@ -417,37 +414,6 @@ impl HeapBackend for RealBackend {
             return;
         }
         self.refill_and_write(addr, size, raw);
-    }
-
-    fn copy_object(&mut self, from: Addr, to: Addr, size: u32) {
-        let src = self.base(from.region);
-        let dst = self.base(to.region);
-        debug_assert!(!src.is_null() && !dst.is_null(), "copy via unbacked region");
-        if src.is_null() || dst.is_null() {
-            return;
-        }
-        let size = size as usize;
-        debug_assert!(from.offset as usize + size <= self.region_bytes);
-        debug_assert!(to.offset as usize + size <= self.region_bytes);
-        // Destinations are freshly bump-allocated above every live object in
-        // their region, so source and destination ranges never overlap even
-        // within one region.
-        debug_assert!(
-            from.region != to.region
-                || to.offset >= from.offset + size as u32
-                || from.offset >= to.offset + size as u32,
-            "overlapping copy {from:?} -> {to:?}"
-        );
-        // SAFETY: both ranges lie inside their regions' backing blocks (the
-        // heap sized them), and they are disjoint per the argument above.
-        unsafe {
-            ptr::copy_nonoverlapping(
-                src.add(from.offset as usize),
-                dst.add(to.offset as usize),
-                size,
-            );
-        }
-        self.bytes_copied.fetch_add(size as u64, Ordering::Relaxed);
     }
 
     fn read_header_hash(&self, addr: Addr, size: u32) -> Option<IdentityHash> {
@@ -605,7 +571,8 @@ impl HeapBackend for RealBackend {
 ///
 /// Snapshot of the backend's region base pointers, handed to the scoped
 /// worker threads. Soundness leans on the same contract as the rest of the
-/// apply phase (see [`crate::evac`]): every move in a batch has a distinct
+/// batched evacuation ([`Heap::evacuate_batch`](crate::Heap::evacuate_batch)):
+/// every move in a batch has a distinct
 /// destination range (bump-allocated), and source regions are detached from
 /// their spaces before evacuation, so no two threads ever write overlapping
 /// bytes and no thread reads bytes another writes.
@@ -684,18 +651,6 @@ mod tests {
         b.write_object(addr(0, 0), 4, hash);
         assert_eq!(b.read_header_hash(addr(0, 0), 4), None);
         assert_eq!(b.stats().bytes_written, 68);
-    }
-
-    #[test]
-    fn copy_moves_payload_across_regions() {
-        let mut b = real();
-        b.ensure_region(RegionId::new(0), true);
-        b.ensure_region(RegionId::new(5), false);
-        let hash = IdentityHash::from_raw(42);
-        b.write_object(addr(0, 256), 512, hash);
-        b.copy_object(addr(0, 256), addr(5, 1024), 512);
-        assert_eq!(b.read_header_hash(addr(5, 1024), 512), Some(hash));
-        assert_eq!(b.stats().bytes_copied, 512);
     }
 
     #[test]

@@ -79,9 +79,9 @@ pub struct HeapConfig {
     /// identical either way.
     pub backend: BackendKind,
     /// TLAB window size for the real backend's allocation fast path, in
-    /// bytes (the `--tlab-kb` knob). Clamped to the region size; ignored by
-    /// the sim backend. Never affects logical placement, only how often the
-    /// real backend's write window refills.
+    /// bytes ([`HeapConfig::DEFAULT_TLAB_BYTES`] unless set). Clamped to the
+    /// region size; ignored by the sim backend. Never affects logical
+    /// placement, only how often the real backend's write window refills.
     pub tlab_bytes: u64,
     /// When the integrity verifier runs (the `--verify-heap` knob).
     /// Read-only at every setting; see [`VerifyMode`].

@@ -1,6 +1,7 @@
 //! Batched evacuation: plan/apply split and the parallel fix-up phase.
 //!
-//! [`Heap::evacuate_batch`] runs in three phases. The *planning* phase is
+//! [`Heap::evacuate_batch`] is the heap's only way to move or free an
+//! object; a single move or drop is a one-op batch. It runs in three phases. The *planning* phase is
 //! serial and deterministic: it walks the ops in order, takes dead records,
 //! bump-allocates every destination address, and updates region lists and
 //! live-byte accounting — everything whose outcome depends on order. The

@@ -168,32 +168,12 @@ pub struct LiveSet {
     /// independent of how the mark was sharded across workers.
     order: Vec<ObjectId>,
     live_bytes: u64,
-    /// Objects traced (== `order.len()`), kept separate for cost accounting.
-    traced_objects: u64,
-    /// The mark epoch that produced this set.
-    epoch: u32,
-    /// True for whole-heap marks; false for young-only marks, which never
-    /// rebuild the live-page bitmap.
-    full: bool,
-    /// Heap mutation counter at the time the set was traced.
-    mutation_seq: u64,
 }
 
 impl LiveSet {
     /// True if `obj` was reachable at mark time.
     pub fn contains(&self, obj: ObjectId) -> bool {
         bit_get(&self.bits, obj.index())
-    }
-
-    /// The mark epoch that produced this set.
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// True if this set came from a whole-heap mark ([`Heap::mark_live`]);
-    /// young-only sets ([`Heap::mark_live_young`]) report false.
-    pub fn is_full(&self) -> bool {
-        self.full
     }
 
     /// Live objects in canonical ascending object-id order (identical at any
@@ -216,13 +196,6 @@ impl LiveSet {
     pub fn live_bytes(&self) -> u64 {
         self.live_bytes
     }
-
-    /// Number of objects traced during the mark (equal to [`len`]).
-    ///
-    /// [`len`]: LiveSet::len
-    pub fn traced_objects(&self) -> u64 {
-        self.traced_objects
-    }
 }
 
 /// Shared marking machinery over the slab table.
@@ -235,9 +208,6 @@ struct MarkCtx<'a> {
     epoch: u32,
     slots: &'a [u32],
     records: &'a mut [Option<ObjectRecord>],
-    page_table: &'a PageTable,
-    /// Live-page bitmap rebuilt during the trace (whole-heap marks only).
-    live_pages: Option<&'a mut [u64]>,
     bits: Vec<u64>,
     order: Vec<ObjectId>,
     region_live: Vec<u32>,
@@ -267,12 +237,6 @@ impl MarkCtx<'_> {
         self.order.push(id);
         self.live_bytes += u64::from(rec.size());
         self.region_live[rec.addr().region.index()] += rec.size();
-        if let Some(pages) = self.live_pages.as_deref_mut() {
-            let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
-            for p in first..=last {
-                bit_set(pages, p as usize);
-            }
-        }
     }
 
     fn trace(&mut self) {
@@ -320,19 +284,10 @@ pub struct Heap {
     page_table: PageTable,
     mark_epoch: u32,
     /// Incremental page occupancy: how many object records overlap each
-    /// page, adjusted at allocate/drop/relocate time. `> 0` means the page
-    /// holds object bytes (reachable or not-yet-swept).
+    /// page, adjusted at allocate time and by every evacuation move or
+    /// drop. `> 0` means the page holds object bytes (reachable or
+    /// not-yet-swept).
     page_object_counts: Vec<u32>,
-    /// Live-page bitmap: pages overlapped by an object of the most recent
-    /// whole-heap mark, rebuilt during the trace itself. Valid for the
-    /// no-need fast path only for the set of epoch `live_pages_epoch`, and
-    /// only while that set's `mutation_seq` is still current.
-    live_pages: Vec<u64>,
-    live_pages_epoch: u32,
-    /// Bumped by every mutation that can move object bytes or change
-    /// reachability: allocate, drop, relocate, region release, add_ref,
-    /// remove_ref. Plain field writes only dirty pages and do not count.
-    mutation_seq: u64,
     /// Remembered set: young objects referenced from non-young objects
     /// (appended by the `add_ref` write barrier, pruned after each young
     /// collection). Lets minor collections avoid tracing the old spaces.
@@ -425,9 +380,6 @@ impl Heap {
             page_table,
             mark_epoch: 0,
             page_object_counts: vec![0; page_count],
-            live_pages: vec![0; page_count.div_ceil(64)],
-            live_pages_epoch: 0,
-            mutation_seq: 0,
             remembered: Vec::new(),
             remembered_scratch: IdHashSet::default(),
             remembered_churn: RememberedSetChurn::default(),
@@ -456,11 +408,6 @@ impl Heap {
     /// time inside the pause.
     pub fn set_gc_workers(&mut self, workers: usize) {
         self.gc_workers = workers.max(1);
-    }
-
-    /// The break-even tuning gating the parallel safepoint phases.
-    pub fn parallel_tuning(&self) -> ParallelTuning {
-        self.tuning
     }
 
     /// Replaces the break-even tuning (see [`ParallelTuning`]). Output is
@@ -625,7 +572,10 @@ impl Heap {
         self.regions[addr.region.index()].set_live_bytes(live + size);
         self.page_table.mark_dirty_range(addr, size);
         self.page_table.clear_no_need_range(addr, size);
-        self.adjust_page_counts(addr, size, 1);
+        let (first, last) = self.page_table.pages_of(addr, size);
+        for p in first..=last {
+            self.page_object_counts[p as usize] += 1;
+        }
         debug_assert_eq!(self.slots.len(), id.index(), "slot table out of step");
         let slot = match self.free_slots.pop() {
             Some(slot) => {
@@ -639,22 +589,9 @@ impl Heap {
         };
         self.slots.push(slot);
         self.live_records += 1;
-        self.mutation_seq += 1;
         self.stats.allocated_objects += 1;
         self.stats.allocated_bytes += u64::from(size);
         Ok(id)
-    }
-
-    /// Adjusts the incremental page-occupancy counters for `size` bytes at
-    /// `addr` (+1 on allocate/relocate-in, -1 on drop/relocate-out).
-    fn adjust_page_counts(&mut self, addr: Addr, size: u32, delta: i32) {
-        let (first, last) = self.page_table.pages_of(addr, size);
-        for p in first..=last {
-            let c = &mut self.page_object_counts[p as usize];
-            *c = c
-                .checked_add_signed(delta)
-                .expect("page occupancy count underflow");
-        }
     }
 
     fn bump_into(&mut self, space: SpaceId, size: u32) -> Result<Addr, HeapError> {
@@ -749,7 +686,6 @@ impl Heap {
         record.refs_mut().push(child);
         let (addr, size, parent_space) = (record.addr(), record.size(), record.space());
         self.page_table.mark_dirty_range(addr, size);
-        self.mutation_seq += 1;
         // Generational write barrier: remember old->young edges so minor
         // collections need not trace the old spaces.
         if parent_space != Heap::YOUNG_SPACE && child_space == Heap::YOUNG_SPACE {
@@ -779,7 +715,6 @@ impl Heap {
         if removed {
             let (addr, size) = (record.addr(), record.size());
             self.page_table.mark_dirty_range(addr, size);
-            self.mutation_seq += 1;
         }
         Ok(removed)
     }
@@ -808,61 +743,75 @@ impl Heap {
     /// (mutator stack roots supplied by the runtime).
     ///
     /// Updates each assigned region's `live_bytes` so collectors and the
-    /// no-need walk can reason about occupancy, and rebuilds the live-page
-    /// bitmap consumed by the [`mark_no_need_pages`] fast path.
+    /// no-need walk can reason about occupancy.
     ///
     /// Visited state is an epoch stamp in each record's header — no per-trace
     /// hash set — and every edge dereference is a slab index.
-    ///
-    /// [`mark_no_need_pages`]: Heap::mark_no_need_pages
     pub fn mark_live(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
+        self.mark(extra_roots, false)
+    }
+
+    /// Marks only the *young* generation: everything outside young is
+    /// assumed live (the generational bargain), and old->young edges come
+    /// from the remembered set maintained by the `add_ref` write barrier.
+    /// The returned [`LiveSet`] covers young objects only — exactly what a
+    /// minor collection needs — and only young regions' `live_bytes` are
+    /// refreshed.
+    ///
+    /// Prune the remembered set with [`prune_remembered`](Heap::prune_remembered)
+    /// once the collection has moved or dropped every young object.
+    pub fn mark_live_young(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
+        self.mark(extra_roots, true)
+    }
+
+    /// The one mark routine behind [`mark_live`](Heap::mark_live) and
+    /// [`mark_live_young`](Heap::mark_live_young): serial, or sharded across
+    /// workers when [`use_parallel_mark`](Heap::use_parallel_mark) says so,
+    /// with bit-identical results either way.
+    fn mark(&mut self, extra_roots: &[ObjectId], young_only: bool) -> LiveSet {
         self.mark_epoch += 1;
-        for w in &mut self.live_pages {
-            *w = 0;
-        }
         let (mut bits, mut order) = self.take_mark_buffers();
         let mut region_live = std::mem::take(&mut self.region_live_scratch);
         region_live.clear();
         region_live.resize(self.regions.len(), 0);
 
-        let eff_workers = self.effective_gc_workers();
-        let live_bytes = if self.use_parallel_mark() {
-            let roots: Vec<ObjectId> = self
-                .roots
-                .iter()
-                .chain(extra_roots.iter().copied())
-                .collect();
+        let parallel = self.use_parallel_mark();
+        let workers = self.effective_gc_workers();
+        let remembered: &[ObjectId] = if young_only { &self.remembered } else { &[] };
+        let roots = self
+            .roots
+            .iter()
+            .chain(extra_roots.iter().copied())
+            .chain(remembered.iter().copied());
+        let live_bytes = if parallel {
+            let roots: Vec<ObjectId> = roots.collect();
             self.mark_stamps
                 .resize_with(self.records.len(), || AtomicU32::new(0));
             mark::parallel_mark(
                 &mark::MarkShards {
-                    workers: eff_workers,
+                    workers,
                     epoch: self.mark_epoch,
                     slots: &self.slots,
                     records: &self.records,
                     stamps: &self.mark_stamps,
-                    page_table: &self.page_table,
-                    young_only: false,
+                    young_only,
                 },
                 &roots,
                 &mut bits,
                 &mut region_live,
-                Some(&mut self.live_pages),
             )
         } else {
             let mut ctx = MarkCtx {
                 epoch: self.mark_epoch,
                 slots: &self.slots,
                 records: &mut self.records,
-                page_table: &self.page_table,
-                live_pages: Some(&mut self.live_pages),
                 bits,
                 order,
                 region_live,
                 live_bytes: 0,
-                young_only: false,
+                young_only,
             };
-            for id in self.roots.iter().chain(extra_roots.iter().copied()) {
+            for id in roots {
                 ctx.visit(id);
             }
             ctx.trace();
@@ -882,121 +831,22 @@ impl Heap {
         // and sharded marks are indistinguishable to every consumer.
         order_from_bits(&bits, &mut order);
 
-        // Refresh per-region live-byte accounting.
+        // Refresh per-region live-byte accounting for the regions the mark
+        // covered.
         for region in &mut self.regions {
-            if region.space().is_some() {
-                region.set_live_bytes(region_live[region.id().index()]);
-            }
-        }
-        self.region_live_scratch = region_live;
-        self.live_pages_epoch = self.mark_epoch;
-
-        let traced = order.len() as u64;
-        LiveSet {
-            bits,
-            order,
-            live_bytes,
-            traced_objects: traced,
-            epoch: self.mark_epoch,
-            full: true,
-            mutation_seq: self.mutation_seq,
-        }
-    }
-
-    /// Marks only the *young* generation: everything outside young is
-    /// assumed live (the generational bargain), and old->young edges come
-    /// from the remembered set maintained by the `add_ref` write barrier.
-    /// The returned [`LiveSet`] covers young objects only — exactly what a
-    /// minor collection needs.
-    ///
-    /// Prune the remembered set with [`prune_remembered`](Heap::prune_remembered)
-    /// once the collection has relocated or dropped every young object.
-    pub fn mark_live_young(&mut self, extra_roots: &[ObjectId]) -> LiveSet {
-        self.mark_epoch += 1;
-        let (mut bits, mut order) = self.take_mark_buffers();
-        let mut region_live = std::mem::take(&mut self.region_live_scratch);
-        region_live.clear();
-        region_live.resize(self.regions.len(), 0);
-
-        let eff_workers = self.effective_gc_workers();
-        let live_bytes = if self.use_parallel_mark() {
-            let roots: Vec<ObjectId> = self
-                .roots
-                .iter()
-                .chain(extra_roots.iter().copied())
-                .chain(self.remembered.iter().copied())
-                .collect();
-            self.mark_stamps
-                .resize_with(self.records.len(), || AtomicU32::new(0));
-            mark::parallel_mark(
-                &mark::MarkShards {
-                    workers: eff_workers,
-                    epoch: self.mark_epoch,
-                    slots: &self.slots,
-                    records: &self.records,
-                    stamps: &self.mark_stamps,
-                    page_table: &self.page_table,
-                    young_only: true,
-                },
-                &roots,
-                &mut bits,
-                &mut region_live,
-                // Young-only marks never feed the no-need walk; the
-                // live-page bitmap keeps describing the last whole-heap mark.
-                None,
-            )
-        } else {
-            let mut ctx = MarkCtx {
-                epoch: self.mark_epoch,
-                slots: &self.slots,
-                records: &mut self.records,
-                page_table: &self.page_table,
-                live_pages: None,
-                bits,
-                order,
-                region_live,
-                live_bytes: 0,
-                young_only: true,
-            };
-            for id in self
-                .roots
-                .iter()
-                .chain(extra_roots.iter().copied())
-                .chain(self.remembered.iter().copied())
+            if region
+                .space()
+                .is_some_and(|space| !young_only || space == Heap::YOUNG_SPACE)
             {
-                ctx.visit(id);
-            }
-            ctx.trace();
-            let MarkCtx {
-                bits: b,
-                order: o,
-                region_live: rl,
-                live_bytes,
-                ..
-            } = ctx;
-            bits = b;
-            order = o;
-            region_live = rl;
-            live_bytes
-        };
-        order_from_bits(&bits, &mut order);
-
-        for region in &mut self.regions {
-            if region.space() == Some(Heap::YOUNG_SPACE) {
                 region.set_live_bytes(region_live[region.id().index()]);
             }
         }
         self.region_live_scratch = region_live;
 
-        let traced = order.len() as u64;
         LiveSet {
             bits,
             order,
             live_bytes,
-            traced_objects: traced,
-            epoch: self.mark_epoch,
-            full: false,
-            mutation_seq: self.mutation_seq,
         }
     }
 
@@ -1071,59 +921,28 @@ impl Heap {
     // Relocation & reclamation (collector back-end)
     // ------------------------------------------------------------------
 
-    /// Relocates `obj` into `dest` (promotion or compaction copy). Returns
-    /// the number of bytes copied.
-    ///
-    /// The object keeps its id and identity hash; its address changes and the
-    /// destination pages are dirtied, as a real copying collector would.
-    ///
-    /// # Errors
-    ///
-    /// * [`HeapError::NoSuchObject`] if `obj` is not live.
-    /// * Any allocation error from the destination space.
-    pub fn relocate(&mut self, obj: ObjectId, dest: SpaceId) -> Result<u32, HeapError> {
-        let (size, old_addr) = {
-            let rec = self
-                .object(obj)
-                .ok_or(HeapError::NoSuchObject { object: obj })?;
-            (rec.size(), rec.addr())
-        };
-        let new_addr = self.bump_into(dest, size)?;
-        self.backend.copy_object(old_addr, new_addr, size);
-        self.regions[new_addr.region.index()].push_object(obj);
-        // The source region keeps a stale list entry (see `drop_object`);
-        // relocation sources are always released or purged by the collector.
-        // Keep per-region live accounting fresh: only live objects are
-        // relocated, so the bytes move from the source to the destination.
-        let src_live = self.regions[old_addr.region.index()].live_bytes();
-        self.regions[old_addr.region.index()].set_live_bytes(src_live.saturating_sub(size));
-        let dst_live = self.regions[new_addr.region.index()].live_bytes();
-        self.regions[new_addr.region.index()].set_live_bytes(dst_live + size);
-        self.page_table.mark_dirty_range(new_addr, size);
-        self.page_table.clear_no_need_range(new_addr, size);
-        self.adjust_page_counts(old_addr, size, -1);
-        self.adjust_page_counts(new_addr, size, 1);
-        let rec = self.record_mut(obj).expect("checked above");
-        rec.relocate(dest, new_addr);
-        self.mutation_seq += 1;
-        self.stats.relocated_objects += 1;
-        self.stats.relocated_bytes += u64::from(size);
-        Ok(size)
-    }
-
     /// Applies one batch of evacuation decisions — drops and moves — as a
     /// deterministic serial *planning* phase followed by a *fix-up* phase
-    /// that may run on [`gc_workers`](Heap::gc_workers) threads.
+    /// that may run on [`gc_workers`](Heap::gc_workers) threads. This is the
+    /// heap's only way to move or free an object.
+    ///
+    /// A move keeps the object's id, identity hash and edges; its address
+    /// changes and its destination pages are dirtied, as a real copying
+    /// collector would. A drop removes the record and accounts the freed
+    /// bytes; the caller (a collector's sweep) must only drop objects the
+    /// latest mark proved unreachable. Either way the source region keeps a
+    /// stale list entry: collectors purge stale entries in bulk
+    /// ([`purge_region_objects`](Heap::purge_region_objects)) or release the
+    /// region outright, since per-object list surgery would make sweeps
+    /// quadratic in region population.
     ///
     /// Planning walks `ops` in order and performs every order-dependent
-    /// mutation exactly as the equivalent sequence of
-    /// [`relocate`](Heap::relocate) / [`drop_object`](Heap::drop_object)
-    /// calls would: destination addresses bump-allocate in op order, region
-    /// object lists and live-byte accounting update in op order, and
-    /// `mutation_seq` advances once per op. The fix-up phase then applies
-    /// only commutative effects (record address/age rewrites on disjoint
-    /// slots, atomic page count and dirty/no-need flag updates), so the
-    /// final heap state is bit-identical at any worker count.
+    /// mutation in op order: destination addresses bump-allocate, and
+    /// region object lists and live-byte accounting update. The fix-up
+    /// phase then applies only commutative effects (record address/age
+    /// rewrites on disjoint slots, atomic page count and dirty/no-need flag
+    /// updates), so the final heap state is bit-identical at any worker
+    /// count, and a batch equals the same ops issued as single-op batches.
     ///
     /// Each object id must appear at most once per batch.
     ///
@@ -1159,7 +978,6 @@ impl Heap {
                     self.live_records -= 1;
                     let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
                     drops.push(DropEntry { first, last });
-                    self.mutation_seq += 1;
                     self.stats.freed_objects += 1;
                     self.stats.freed_bytes += u64::from(rec.size());
                 }
@@ -1191,7 +1009,6 @@ impl Heap {
                         new_first,
                         new_last,
                     });
-                    self.mutation_seq += 1;
                     self.stats.relocated_objects += 1;
                     self.stats.relocated_bytes += u64::from(size);
                 }
@@ -1257,49 +1074,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Increments the young-generation age of `obj` and returns the new age.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::NoSuchObject`] if `obj` is not live.
-    pub fn bump_age(&mut self, obj: ObjectId) -> Result<u8, HeapError> {
-        self.record_mut(obj)
-            .map(|r| r.bump_age())
-            .ok_or(HeapError::NoSuchObject { object: obj })
-    }
-
-    /// Removes a dead object's record and accounts the reclaimed bytes.
-    ///
-    /// The caller (a collector's sweep) is responsible for only dropping
-    /// objects that the latest mark proved unreachable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeapError::NoSuchObject`] if `obj` is not live.
-    pub fn drop_object(&mut self, obj: ObjectId) -> Result<u32, HeapError> {
-        let slot = match self.slots.get(obj.index()).copied() {
-            Some(slot) if slot != DEAD_SLOT => slot,
-            _ => return Err(HeapError::NoSuchObject { object: obj }),
-        };
-        let rec = self.records[slot as usize]
-            .take()
-            .expect("live slot has a record");
-        self.slots[obj.index()] = DEAD_SLOT;
-        self.free_slots.push(slot);
-        self.live_records -= 1;
-        self.adjust_page_counts(rec.addr(), rec.size(), -1);
-        self.mutation_seq += 1;
-        // The region's object list keeps a stale entry; collectors purge
-        // stale entries in bulk ([`purge_region_objects`]) or release the
-        // region outright. Per-object list surgery would make sweeps
-        // quadratic in region population.
-        //
-        // [`purge_region_objects`]: Heap::purge_region_objects
-        self.stats.freed_objects += 1;
-        self.stats.freed_bytes += u64::from(rec.size());
-        Ok(rec.size())
-    }
-
     /// Releases `region` back to the free pool and marks all of its pages
     /// no-need.
     ///
@@ -1336,7 +1110,6 @@ impl Heap {
             self.page_table.set_no_need(p, true);
         }
         self.free_regions.push(region);
-        self.mutation_seq += 1;
         Ok(())
     }
 
@@ -1345,8 +1118,8 @@ impl Heap {
     /// The regions stay assigned (their objects remain addressable) but the
     /// space's region list empties, so subsequent allocation into the space
     /// starts on fresh regions — the to-space of a copying collection. The
-    /// collector must then [`relocate`](Heap::relocate) survivors and
-    /// [`drop_object`](Heap::drop_object) the dead, after which
+    /// collector must then move survivors and drop the dead with
+    /// [`evacuate_batch`](Heap::evacuate_batch), after which
     /// [`finish_evacuation`](Heap::finish_evacuation) releases the sources.
     ///
     /// # Errors
@@ -1512,44 +1285,22 @@ impl Heap {
 
     /// Marks the no-need bit on every page of every assigned region that
     /// contains no live object bytes (the Recorder's pre-snapshot heap walk,
-    /// paper §3.2/§4.1). Requires a fresh [`mark_live`] to be meaningful.
+    /// paper §3.2/§4.1), and clears it on every page that does. Page
+    /// liveness is derived from `live` against current object addresses, so
+    /// it is exact for any set; it is meaningful right after a fresh
+    /// [`mark_live`](Heap::mark_live).
     ///
     /// Returns the number of pages newly marked.
-    ///
-    /// [`mark_live`]: Heap::mark_live
     pub fn mark_no_need_pages(&mut self, live: &LiveSet) -> u32 {
-        if live.full
-            && live.epoch == self.live_pages_epoch
-            && live.mutation_seq == self.mutation_seq
-        {
-            // Fast path: the heap's live-page bitmap was rebuilt when `live`
-            // was traced and nothing has moved since — a pure
-            // O(pages) sweep, no per-object page-set rebuild.
-            let pages = std::mem::take(&mut self.live_pages);
-            let marked = self.sweep_no_need(&pages);
-            self.live_pages = pages;
-            marked
-        } else {
-            // Exact fallback for stale or partial sets: recompute the page
-            // set from `live` against current object addresses, bit for bit
-            // what the seed recomputed on every call.
-            let words = (self.page_table.page_count() as usize).div_ceil(64);
-            let mut pages = vec![0u64; words];
-            for id in live.iter() {
-                if let Some(rec) = slab_get(&self.slots, &self.records, id) {
-                    let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
-                    for p in first..=last {
-                        bit_set(&mut pages, p as usize);
-                    }
+        let mut needed = vec![0u64; (self.page_table.page_count() as usize).div_ceil(64)];
+        for id in live.iter() {
+            if let Some(rec) = slab_get(&self.slots, &self.records, id) {
+                let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
+                for p in first..=last {
+                    bit_set(&mut needed, p as usize);
                 }
             }
-            self.sweep_no_need(&pages)
         }
-    }
-
-    /// Applies a live-page bitmap to the no-need bits of every assigned
-    /// region's pages; returns how many pages were newly marked.
-    fn sweep_no_need(&mut self, live_pages: &[u64]) -> u32 {
         let mut marked = 0;
         for region in &self.regions {
             if region.space().is_none() {
@@ -1557,7 +1308,7 @@ impl Heap {
             }
             let first = region.first_page().raw();
             for p in first..first + self.config.pages_per_region() {
-                let should = !bit_get(live_pages, p as usize);
+                let should = !bit_get(&needed, p as usize);
                 if should && !self.page_table.flags_of(p).no_need {
                     marked += 1;
                 }
@@ -1568,7 +1319,7 @@ impl Heap {
     }
 
     /// Streams the identity hashes of `live` into `out` as the sorted,
-    /// duplicate-free u64 column a [`SnapshotSeries`] ingests — reading each
+    /// duplicate-free u64 column a `SnapshotSeries` ingests — reading each
     /// hash back out of the backend's object headers where real memory
     /// exists (falling back to the object table for sim heaps and tiny
     /// objects). This is the Dumper's capture path: no per-snapshot hash set
@@ -1597,88 +1348,6 @@ impl Heap {
         out.sort_unstable();
         out.dedup();
     }
-
-    /// Verifies internal invariants; used by tests and debug assertions.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the violated invariant.
-    pub fn check_invariants(&self) {
-        // Slab consistency: the slot table and record slab are a bijection
-        // on live ids. Scanning `slots` visits ids in index order — no sort.
-        let mut live = 0usize;
-        for (index, &slot) in self.slots.iter().enumerate() {
-            if slot == DEAD_SLOT {
-                continue;
-            }
-            let rec = self
-                .records
-                .get(slot as usize)
-                .and_then(|r| r.as_ref())
-                .unwrap_or_else(|| panic!("slot table points id #{index} at an empty slot"));
-            assert_eq!(
-                rec.id().index(),
-                index,
-                "record id does not match its slot-table index"
-            );
-            live += 1;
-        }
-        assert_eq!(live, self.live_records, "live-record count drifted");
-        assert_eq!(
-            self.records.len(),
-            live + self.free_slots.len(),
-            "record slab leaked slots"
-        );
-        // Every object's region must belong to the object's space and list it.
-        for rec in self.records.iter().flatten() {
-            let id = rec.id();
-            let region = &self.regions[rec.addr().region.index()];
-            assert_eq!(
-                region.space(),
-                Some(rec.space()),
-                "object {id} resides in a region owned by a different space"
-            );
-            assert!(
-                region.objects().contains(&id),
-                "object {id} missing from its region's object list"
-            );
-            // (Stale entries — dead or moved-away ids — are permitted.)
-        }
-        // Incremental page-occupancy counters must equal a from-scratch
-        // recomputation over the record slab.
-        let mut counts = vec![0u32; self.page_object_counts.len()];
-        for rec in self.records.iter().flatten() {
-            let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
-            for p in first..=last {
-                counts[p as usize] += 1;
-            }
-        }
-        for (p, (&have, &want)) in self
-            .page_object_counts
-            .iter()
-            .zip(counts.iter())
-            .enumerate()
-        {
-            assert_eq!(have, want, "page {p} occupancy count drifted");
-        }
-        // Free regions must be unassigned and empty.
-        for &r in &self.free_regions {
-            let region = &self.regions[r.index()];
-            assert!(region.space().is_none(), "free region {r} is assigned");
-            assert!(
-                region.objects().is_empty(),
-                "free region {r} holds stale objects"
-            );
-        }
-        // Region partition: every region is free, owned by exactly one
-        // space, or detached for evacuation.
-        let owned: usize = self.spaces.iter().map(|s| s.regions().len()).sum();
-        assert_eq!(
-            owned + self.free_regions.len() + self.evacuating.len(),
-            self.regions.len(),
-            "regions lost or double-owned"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1693,6 +1362,21 @@ mod tests {
         let class = h.classes_mut().intern("T");
         h.allocate(class, size, SiteId::new(0), Heap::YOUNG_SPACE)
             .expect("alloc")
+    }
+
+    /// Moves one object into `dest` as a one-op batch.
+    fn move_to(h: &mut Heap, obj: ObjectId, dest: SpaceId) {
+        let op = EvacDecision::Move {
+            dest,
+            bump_age: false,
+        };
+        h.evacuate_batch(&[(obj, op)]).expect("move");
+    }
+
+    /// Drops one object as a one-op batch.
+    fn drop_one(h: &mut Heap, obj: ObjectId) {
+        h.evacuate_batch(&[(obj, EvacDecision::Drop)])
+            .expect("drop");
     }
 
     #[test]
@@ -1786,22 +1470,22 @@ mod tests {
         let old = h.create_space(GenId::new(1), None);
         let a = alloc(&mut h, 128);
         let hash = h.object(a).unwrap().identity_hash();
-        let copied = h.relocate(a, old).unwrap();
-        assert_eq!(copied, 128);
+        move_to(&mut h, a, old);
         let rec = h.object(a).unwrap();
         assert_eq!(rec.space(), old);
         assert_eq!(rec.identity_hash(), hash);
         assert_eq!(h.stats().relocated_objects, 1);
+        assert_eq!(h.stats().relocated_bytes, 128);
         h.check_invariants();
     }
 
     #[test]
-    fn drop_object_and_release_region() {
+    fn drop_and_release_region() {
         let mut h = heap();
         let a = alloc(&mut h, 128);
         let region = h.object(a).unwrap().addr().region;
-        let freed = h.drop_object(a).unwrap();
-        assert_eq!(freed, 128);
+        drop_one(&mut h, a);
+        assert_eq!(h.stats().freed_bytes, 128);
         assert!(h.object(a).is_none());
         let before = h.free_region_count();
         h.release_region(region).unwrap();
@@ -1870,7 +1554,7 @@ mod tests {
         let mut h = heap();
         let a = alloc(&mut h, 64);
         let b = alloc(&mut h, 64);
-        h.drop_object(b).unwrap();
+        drop_one(&mut h, b);
         assert!(h.add_ref(a, b).is_err());
         assert!(h.add_ref(b, a).is_err());
         assert!(h.write_field(b).is_err());
@@ -1900,7 +1584,7 @@ mod tests {
         let live = h.mark_live_young(&[]);
         assert!(!live.contains(orphan));
         // Pruning drops entries for promoted children.
-        h.relocate(child, old).unwrap();
+        move_to(&mut h, child, old);
         h.prune_remembered();
         assert_eq!(h.remembered_len(), 0);
     }
@@ -1927,8 +1611,8 @@ mod tests {
         assert_eq!(h.evacuating_regions(), &src[..]);
         h.check_invariants();
         // Survivor moves to a fresh young region; the dead object is dropped.
-        h.relocate(keep, Heap::YOUNG_SPACE).unwrap();
-        h.drop_object(dead).unwrap();
+        move_to(&mut h, keep, Heap::YOUNG_SPACE);
+        drop_one(&mut h, dead);
         h.finish_evacuation().unwrap();
         assert!(h.evacuating_regions().is_empty());
         let rec = h.object(keep).unwrap();
@@ -1950,7 +1634,7 @@ mod tests {
         h.begin_evacuation_of(Heap::YOUNG_SPACE, &[victim]).unwrap();
         let to_move: Vec<_> = h.region(victim).objects().to_vec();
         for obj in to_move {
-            h.relocate(obj, Heap::YOUNG_SPACE).unwrap();
+            move_to(&mut h, obj, Heap::YOUNG_SPACE);
         }
         h.finish_evacuation().unwrap();
         assert_eq!(h.region(victim).space(), None);
@@ -1976,7 +1660,7 @@ mod tests {
         let mut h = heap();
         let a = alloc(&mut h, 64);
         let b = alloc(&mut h, 64);
-        h.drop_object(a).unwrap();
+        drop_one(&mut h, a);
         let c = alloc(&mut h, 64);
         // The record slab recycled `a`'s slot for `c`; ids stay unique.
         assert_eq!(h.object_count(), 2);
@@ -2003,31 +1687,6 @@ mod tests {
             second.iter().collect::<Vec<_>>()
         );
         assert_eq!(first.live_bytes(), second.live_bytes());
-        assert!(second.epoch() > first.epoch());
-        assert!(first.is_full());
-    }
-
-    #[test]
-    fn no_need_fast_path_matches_fallback_recompute() {
-        let mut h = heap();
-        let keep = alloc(&mut h, 4096);
-        for _ in 0..16 {
-            alloc(&mut h, 4096);
-        }
-        let slot = h.roots_mut().create_slot("r");
-        h.roots_mut().push(slot, keep);
-        let stale = h.mark_live(&[]);
-        let fresh = h.mark_live(&[]);
-        // `stale` no longer matches the bitmap epoch => exact fallback.
-        let marked_fallback = h.mark_no_need_pages(&stale);
-        let flags_fallback: Vec<_> = h.page_table().iter().collect();
-        // `fresh` matches => O(pages) bitmap sweep. Same object set, so the
-        // resulting page flags must be identical and nothing newly marked.
-        let marked_fast = h.mark_no_need_pages(&fresh);
-        let flags_fast: Vec<_> = h.page_table().iter().collect();
-        assert!(marked_fallback >= 16);
-        assert_eq!(marked_fast, 0);
-        assert_eq!(flags_fallback, flags_fast);
     }
 
     #[test]
@@ -2038,12 +1697,12 @@ mod tests {
         let rec = h.object(a).unwrap();
         let (first, _) = h.page_table().pages_of(rec.addr(), rec.size());
         assert_eq!(h.page_object_count(first), 1);
-        h.relocate(a, old).unwrap();
+        move_to(&mut h, a, old);
         assert_eq!(h.page_object_count(first), 0, "source page emptied");
         let rec = h.object(a).unwrap();
         let (dst, _) = h.page_table().pages_of(rec.addr(), rec.size());
         assert_eq!(h.page_object_count(dst), 1);
-        h.drop_object(a).unwrap();
+        drop_one(&mut h, a);
         assert_eq!(h.page_object_count(dst), 0);
         h.check_invariants();
     }
@@ -2080,11 +1739,10 @@ mod tests {
         ids
     }
 
-    fn live_fingerprint(h: &Heap, live: &LiveSet) -> (Vec<ObjectId>, u64, u64, Vec<u32>) {
+    fn live_fingerprint(h: &Heap, live: &LiveSet) -> (Vec<ObjectId>, u64, Vec<u32>) {
         (
             live.iter().collect(),
             live.live_bytes(),
-            live.traced_objects(),
             h.regions().iter().map(|r| r.live_bytes()).collect(),
         )
     }
@@ -2108,7 +1766,6 @@ mod tests {
         for workers in [2usize, 4, 8] {
             h.set_gc_workers(workers);
             let live = h.mark_live(&[]);
-            assert!(live.is_full());
             let fp = live_fingerprint(&h, &live);
             h.retire_live_set(live);
             assert_eq!(fp, reference, "{workers}-worker mark diverged");
@@ -2141,7 +1798,6 @@ mod tests {
         for workers in [2usize, 4, 8] {
             h.set_gc_workers(workers);
             let live = h.mark_live_young(&[]);
-            assert!(!live.is_full());
             let fp = live_fingerprint(&h, &live);
             h.retire_live_set(live);
             assert_eq!(fp, reference, "{workers}-worker young mark diverged");
@@ -2270,56 +1926,49 @@ mod tests {
     }
 
     #[test]
-    fn evacuate_batch_matches_relocate_and_drop_sequence() {
-        let build = || {
+    fn evacuate_batch_matches_single_op_batches() {
+        let run = |batched: bool| {
             let mut h = heap();
             let ids: Vec<ObjectId> = (0..8).map(|_| alloc(&mut h, 4096)).collect();
-            (h, ids)
-        };
-        let (mut batch, ids) = build();
-        let old = batch.create_space(GenId::new(1), None);
-        batch.begin_evacuation(Heap::YOUNG_SPACE).unwrap();
-        let ops: Vec<(ObjectId, EvacDecision)> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| {
-                let op = if i % 2 == 0 {
-                    EvacDecision::Drop
-                } else {
-                    EvacDecision::Move {
-                        dest: old,
-                        bump_age: true,
-                    }
-                };
-                (id, op)
-            })
-            .collect();
-        batch.evacuate_batch(&ops).unwrap();
-        batch.finish_evacuation().unwrap();
-
-        let (mut serial, ids) = build();
-        let old = serial.create_space(GenId::new(1), None);
-        serial.begin_evacuation(Heap::YOUNG_SPACE).unwrap();
-        for (i, &id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
-                serial.drop_object(id).unwrap();
+            let old = h.create_space(GenId::new(1), None);
+            h.begin_evacuation(Heap::YOUNG_SPACE).unwrap();
+            let ops: Vec<(ObjectId, EvacDecision)> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| {
+                    let op = match i % 3 {
+                        0 => EvacDecision::Drop,
+                        1 => EvacDecision::Move {
+                            dest: old,
+                            bump_age: true,
+                        },
+                        _ => EvacDecision::Move {
+                            dest: Heap::YOUNG_SPACE,
+                            bump_age: false,
+                        },
+                    };
+                    (id, op)
+                })
+                .collect();
+            if batched {
+                h.evacuate_batch(&ops).unwrap();
             } else {
-                serial.bump_age(id).unwrap();
-                serial.relocate(id, old).unwrap();
+                for op in &ops {
+                    h.evacuate_batch(std::slice::from_ref(op)).unwrap();
+                }
             }
-        }
-        serial.finish_evacuation().unwrap();
-
-        assert_eq!(heap_fingerprint(&batch), heap_fingerprint(&serial));
-        batch.check_invariants();
-        serial.check_invariants();
+            h.finish_evacuation().unwrap();
+            h.check_invariants();
+            heap_fingerprint(&h)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
     fn evacuate_batch_errors_on_dead_object() {
         let mut h = heap();
         let a = alloc(&mut h, 64);
-        h.drop_object(a).unwrap();
+        drop_one(&mut h, a);
         let err = h.evacuate_batch(&[(a, EvacDecision::Drop)]);
         assert!(matches!(err, Err(HeapError::NoSuchObject { .. })));
     }

@@ -6,8 +6,8 @@
 //! * **Claim at discovery.** A worker owns an object iff it wins the atomic
 //!   swap of the record's claim stamp to the current epoch — one `AtomicU32`
 //!   RMW per record, the CAS the slab table + epoch bits were built for.
-//!   The winner accounts the object (membership bit, bytes, region bytes,
-//!   live pages) into its private buffers and queues it for ref expansion;
+//!   The winner accounts the object (membership bit, bytes, region bytes)
+//!   into its private buffers and queues it for ref expansion;
 //!   losers skip. Claims make every accounting effect exactly-once, so the
 //!   merged result is independent of which worker got there first.
 //! * **Per-worker overflow + stealing.** Each worker drains a private stack;
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 use crate::heap::{bit_set, DEAD_SLOT};
-use crate::{Heap, ObjectId, ObjectRecord, PageTable};
+use crate::{Heap, ObjectId, ObjectRecord};
 
 /// Donate half the private stack once it grows past this many entries.
 const DONATE_THRESHOLD: usize = 512;
@@ -45,7 +45,6 @@ pub(crate) struct MarkShards<'a> {
     /// Per-slot claim stamps; a slot whose stamp already equals `epoch` is
     /// claimed. Stale values are from past epochs and can never collide.
     pub stamps: &'a [AtomicU32],
-    pub page_table: &'a PageTable,
     pub young_only: bool,
 }
 
@@ -53,7 +52,6 @@ pub(crate) struct MarkShards<'a> {
 struct WorkerState {
     bits: Vec<u64>,
     region_live: Vec<u32>,
-    live_pages: Option<Vec<u64>>,
     live_bytes: u64,
     /// Claimed objects awaiting ref expansion.
     local: Vec<ObjectId>,
@@ -90,16 +88,10 @@ impl MarkShards<'_> {
 }
 
 /// Accounts a freshly claimed object into the worker's private buffers.
-fn account(shards: &MarkShards<'_>, state: &mut WorkerState, id: ObjectId, rec: &ObjectRecord) {
+fn account(state: &mut WorkerState, id: ObjectId, rec: &ObjectRecord) {
     bit_set(&mut state.bits, id.index());
     state.live_bytes += u64::from(rec.size());
     state.region_live[rec.addr().region.index()] += rec.size();
-    if let Some(pages) = state.live_pages.as_deref_mut() {
-        let (first, last) = shards.page_table.pages_of(rec.addr(), rec.size());
-        for p in first..=last {
-            bit_set(pages, p as usize);
-        }
-    }
 }
 
 fn worker_loop(
@@ -114,7 +106,7 @@ fn worker_loop(
             let rec = shards.records[slot].as_ref().expect("claimed record");
             for &child in rec.refs() {
                 if let Some(crec) = shards.try_claim(child) {
-                    account(shards, &mut state, child, crec);
+                    account(&mut state, child, crec);
                     state.local.push(child);
                 }
             }
@@ -161,8 +153,8 @@ fn worker_loop(
 }
 
 /// Runs a sharded mark from `roots` and merges per-worker results into the
-/// caller's buffers (`bits`, `region_live`, and optionally `live_pages`,
-/// all pre-zeroed). Returns the total live bytes.
+/// caller's buffers (`bits` and `region_live`, both pre-zeroed). Returns the
+/// total live bytes.
 ///
 /// The caller rebuilds the canonical order from the merged `bits`.
 pub(crate) fn parallel_mark(
@@ -170,11 +162,8 @@ pub(crate) fn parallel_mark(
     roots: &[ObjectId],
     bits: &mut [u64],
     region_live: &mut [u32],
-    mut live_pages: Option<&mut [u64]>,
 ) -> u64 {
     let workers = shards.workers.max(1);
-    let want_pages = live_pages.is_some();
-    let page_words = live_pages.as_deref().map(|p| p.len()).unwrap_or_default();
     let bit_words = bits.len();
     let region_count = region_live.len();
     let shared = Mutex::new(SharedQueue {
@@ -189,14 +178,13 @@ pub(crate) fn parallel_mark(
                     let mut state = WorkerState {
                         bits: vec![0u64; bit_words],
                         region_live: vec![0u32; region_count],
-                        live_pages: want_pages.then(|| vec![0u64; page_words]),
                         live_bytes: 0,
                         local: Vec::new(),
                     };
                     // Round-robin root partition; claims dedupe overlaps.
                     for id in roots.iter().skip(w).step_by(workers).copied() {
                         if let Some(rec) = shards.try_claim(id) {
-                            account(shards, &mut state, id, rec);
+                            account(&mut state, id, rec);
                             state.local.push(id);
                         }
                     }
@@ -217,11 +205,6 @@ pub(crate) fn parallel_mark(
         }
         for (dst, src) in region_live.iter_mut().zip(state.region_live.iter()) {
             *dst += src;
-        }
-        if let (Some(dst), Some(src)) = (live_pages.as_deref_mut(), state.live_pages.as_deref()) {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d |= s;
-            }
         }
         live_bytes += state.live_bytes;
     }

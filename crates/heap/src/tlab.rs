@@ -42,8 +42,10 @@ use crate::backend::OBJECT_HEADER_BYTES;
 
 /// A cached write window over one region's backing memory.
 ///
-/// See the [module docs](self) for the refill/retire protocol and safety
-/// model.
+/// The backend refills a window when an allocation falls off its end or
+/// switches regions, and retires it when its region is released, so a
+/// recycled backing block is never written through a stale window. Writes
+/// are bounds-checked against `[start, limit)` before any unsafe store.
 #[derive(Debug)]
 pub struct TlabWindow {
     /// Base pointer of the *region* backing (not of the window), so object

@@ -122,9 +122,10 @@ impl Heap {
         self.verify_passes
     }
 
-    /// Checks the full invariant catalogue (see the [module docs](self)),
-    /// returning the first violation found. Strictly read-only: the heap's
-    /// trajectory is bit-identical whether and however often this runs.
+    /// Checks the full invariant catalogue (logical, memory and allocator
+    /// layers), returning the first violation found. Strictly read-only: the
+    /// heap's trajectory is bit-identical whether and however often this
+    /// runs.
     ///
     /// # Errors
     ///
@@ -136,6 +137,19 @@ impl Heap {
         self.backend
             .verify_allocator()
             .map_err(|(invariant, detail)| violation(invariant, detail))
+    }
+
+    /// Checks the logical invariants on either backend, for tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`HeapError::IntegrityViolation`] that
+    /// [`verify_integrity`](Heap::verify_integrity) would report for the
+    /// first violated logical invariant.
+    pub fn check_invariants(&self) {
+        if let Err(e) = self.verify_logical() {
+            panic!("{e}");
+        }
     }
 
     /// The logical layer: slab bijection, region ownership/membership,

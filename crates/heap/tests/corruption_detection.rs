@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use polm2_heap::{
-    BackendKind, CorruptionKind, GenId, Heap, HeapConfig, HeapError, ObjectId, SiteId,
+    BackendKind, CorruptionKind, EvacDecision, GenId, Heap, HeapConfig, HeapError, ObjectId, SiteId,
 };
 
 /// One step of a seeded alloc/drop trace.
@@ -59,7 +59,7 @@ fn build_heap(ops: &[Op]) -> Heap {
             Op::Drop { idx } => {
                 if !live.is_empty() {
                     let id = live.swap_remove(idx % live.len());
-                    heap.drop_object(id).unwrap();
+                    heap.evacuate_batch(&[(id, EvacDecision::Drop)]).unwrap();
                 }
             }
         }

@@ -1,12 +1,26 @@
-//! Incremental page-liveness bookkeeping vs from-scratch recomputation.
+//! Incremental page-occupancy bookkeeping vs from-scratch recomputation.
 //!
-//! The heap maintains two page-granularity structures incrementally: exact
-//! per-page object-overlap counts (updated at allocate/drop/relocate time)
-//! and a reachability bitmap refreshed by each full mark. These tests drive
-//! allocate/relocate/drop/evacuate/release sequences and compare both
-//! against recomputations from the object records.
+//! The heap maintains exact per-page object-overlap counts incrementally
+//! (updated at allocate time and by every evacuation move or drop). These
+//! tests drive allocate/move/drop/evacuate/release sequences and compare the
+//! counts, and the no-need bits a fresh mark derives, against
+//! recomputations from the object records.
 
-use polm2_heap::{GenId, Heap, HeapConfig, ObjectId, SiteId, SpaceId};
+use polm2_heap::{EvacDecision, GenId, Heap, HeapConfig, ObjectId, SiteId, SpaceId};
+
+/// Moves one object into `dest` as a one-op evacuation batch.
+fn move_to(heap: &mut Heap, obj: ObjectId, dest: SpaceId) {
+    let op = EvacDecision::Move {
+        dest,
+        bump_age: false,
+    };
+    heap.evacuate_batch(&[(obj, op)]).unwrap();
+}
+
+/// Drops one object as a one-op evacuation batch.
+fn drop_one(heap: &mut Heap, obj: ObjectId) {
+    heap.evacuate_batch(&[(obj, EvacDecision::Drop)]).unwrap();
+}
 
 /// Recomputes per-page object counts from every live record.
 fn recount_pages(heap: &Heap) -> Vec<u32> {
@@ -60,16 +74,16 @@ fn seeded_heap() -> (Heap, SpaceId, Vec<ObjectId>) {
 }
 
 #[test]
-fn counts_track_allocate_relocate_drop() {
+fn counts_track_allocate_move_drop() {
     let (mut heap, old, ids) = seeded_heap();
     assert_counts_match(&heap, "allocation");
 
     for &id in ids.iter().step_by(4) {
-        heap.relocate(id, old).unwrap();
-        assert_counts_match(&heap, "relocate");
+        move_to(&mut heap, id, old);
+        assert_counts_match(&heap, "move");
     }
     for &id in ids.iter().skip(1).step_by(4) {
-        heap.drop_object(id).unwrap();
+        drop_one(&mut heap, id);
         assert_counts_match(&heap, "drop");
     }
     heap.check_invariants();
@@ -85,9 +99,9 @@ fn counts_track_evacuation_and_region_release() {
     let sources = heap.begin_evacuation(Heap::YOUNG_SPACE).unwrap();
     for obj in young {
         if live.contains(obj) {
-            heap.relocate(obj, old).unwrap();
+            move_to(&mut heap, obj, old);
         } else {
-            heap.drop_object(obj).unwrap();
+            drop_one(&mut heap, obj);
         }
     }
     // finish_evacuation releases the emptied sources via `release_region`,
@@ -112,49 +126,6 @@ fn counts_track_evacuation_and_region_release() {
     heap.check_invariants();
 }
 
-/// The no-need sweep must produce identical page flags whether it runs on
-/// the incremental live-page bitmap (fresh mark, fast path) or rebuilds
-/// page liveness from the LiveSet (stale mark, fallback path).
-#[test]
-fn no_need_fast_path_equals_fallback_after_identical_mutations() {
-    let drive = |stale: bool| -> (Vec<bool>, u32) {
-        let (mut heap, old, ids) = seeded_heap();
-        for &id in ids.iter().step_by(5) {
-            heap.relocate(id, old).unwrap();
-        }
-        for &id in ids.iter().skip(2).step_by(5) {
-            let _ = heap.drop_object(id);
-        }
-        let live = heap.mark_live(&[]);
-        if stale {
-            // Any mutation invalidates the incremental bitmap and forces
-            // the fallback recomputation; dropping an unreachable object
-            // does not change the reachable set, so flags must not change.
-            let dead = ids
-                .iter()
-                .copied()
-                .find(|&id| heap.object(id).is_some() && !live.contains(id))
-                .expect("some dead object survives to be dropped");
-            heap.drop_object(dead).unwrap();
-        }
-        let marked = heap.mark_no_need_pages(&live);
-        let flags = heap
-            .page_table()
-            .iter()
-            .map(|f| f.no_need)
-            .collect::<Vec<bool>>();
-        (flags, marked)
-    };
-
-    let (fast_flags, fast_marked) = drive(false);
-    let (fallback_flags, _) = drive(true);
-    assert_eq!(
-        fast_flags, fallback_flags,
-        "fast and fallback no-need sweeps disagree"
-    );
-    assert!(fast_marked > 0, "garbage-heavy heap must mark some pages");
-}
-
 #[test]
 fn relocation_moves_page_occupancy_not_liveness_semantics() {
     let mut heap = Heap::new(HeapConfig::small());
@@ -168,7 +139,7 @@ fn relocation_moves_page_occupancy_not_liveness_semantics() {
 
     let rec = heap.object(obj).unwrap();
     let (src_first, src_last) = heap.page_table().pages_of(rec.addr(), rec.size());
-    heap.relocate(obj, old).unwrap();
+    move_to(&mut heap, obj, old);
     let rec = heap.object(obj).unwrap();
     let (dst_first, dst_last) = heap.page_table().pages_of(rec.addr(), rec.size());
     assert_ne!(src_first, dst_first, "relocation must change pages");

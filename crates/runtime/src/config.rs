@@ -51,15 +51,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// This configuration with the given TLAB window size in KiB, the
-    /// real backend's `--tlab-kb` knob (chainable). Zero is clamped to one
-    /// KiB. Placement is unaffected at any value; the knob only moves the
-    /// allocation fast path's refill frequency.
-    pub fn with_tlab_kb(mut self, tlab_kb: u64) -> Self {
-        self.heap.tlab_bytes = tlab_kb.max(1) << 10;
-        self
-    }
-
     /// This configuration with the given heap-integrity verification mode,
     /// the CLI's `--verify-heap` knob (chainable). Verification is strictly
     /// read-only: trajectories are bit-identical at any mode.
@@ -110,23 +101,6 @@ mod tests {
         let cfg = RuntimeConfig::small().with_heap_backend(BackendKind::Real);
         assert_eq!(cfg.heap.backend, BackendKind::Real);
         assert_eq!(RuntimeConfig::small().heap.backend, BackendKind::Sim);
-    }
-
-    #[test]
-    fn with_tlab_kb_sets_and_clamps() {
-        assert_eq!(
-            RuntimeConfig::small().with_tlab_kb(64).heap.tlab_bytes,
-            64 << 10
-        );
-        assert_eq!(
-            RuntimeConfig::small().with_tlab_kb(0).heap.tlab_bytes,
-            1 << 10
-        );
-        assert!(RuntimeConfig::small()
-            .with_tlab_kb(0)
-            .heap
-            .validate()
-            .is_ok());
     }
 
     #[test]

@@ -81,9 +81,8 @@ impl HeapDumper for CriuDumper {
 
     fn snapshot(&mut self, heap: &mut Heap, now: SimTime) -> Result<Snapshot, SnapshotError> {
         // Content: live-object identity hashes (snapshots run between
-        // operations; no mutator stacks are live). The trace also refreshes
-        // the region live bytes and the live-page bitmap the no-need sweep
-        // reads.
+        // operations; no mutator stacks are live). The same live set drives
+        // the no-need sweep below.
         let live = heap.mark_live(&[]);
         // Stream the content column straight off the heap: on a real-memory
         // backend the hashes come out of the object headers page by page, the

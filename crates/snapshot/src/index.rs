@@ -141,14 +141,14 @@ impl SnapshotIndex {
             .sum()
     }
 
-    /// The most recently pushed column's delta (`added`, `removed` vs. the
-    /// previous column), or `None` before any push. The journal's streaming
-    /// serializer encodes snapshots straight from this — the diff already
-    /// computed at [`SnapshotSeries::push`] time — instead of re-diffing
-    /// full columns.
-    pub fn last_delta(&self) -> Option<(&[u64], &[u64])> {
+    /// Column `i`'s delta (`added`, `removed` vs. column `i - 1`; column 0's
+    /// delta is the column itself), or `None` past the last column. The
+    /// journal's streaming serializer encodes snapshots straight from this —
+    /// the diff already computed at [`SnapshotSeries::push`] time — instead
+    /// of re-diffing full columns.
+    pub fn delta(&self, i: usize) -> Option<(&[u64], &[u64])> {
         self.columns
-            .last()
+            .get(i)
             .map(|c| (c.added.as_slice(), c.removed.as_slice()))
     }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate, exactly as CI runs it: formatting, lints, tests.
+# The full local gate, exactly as CI runs it: formatting, lints, docs, tests.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,12 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (-D warnings)"
+# Catches intra-doc links left dangling when an item is removed or made
+# private. The vendored rand/proptest/criterion shims are not documented.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+  --exclude rand --exclude proptest --exclude criterion
 
 echo "== cargo test"
 cargo test --workspace -q

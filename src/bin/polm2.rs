@@ -21,7 +21,7 @@ use polm2::gc::GcError;
 use polm2::heap::{BackendKind, HeapError, VerifyMode};
 use polm2::metrics::report::TextTable;
 use polm2::metrics::{FaultCounters, SimDuration, STANDARD_PERCENTILES};
-use polm2::runtime::RuntimeError;
+use polm2::runtime::{RuntimeConfig, RuntimeError};
 use polm2::snapshot::{journal, FsMedia};
 use polm2::workloads::registry::{paper_workloads, workload_by_name};
 use polm2::workloads::{
@@ -139,8 +139,6 @@ fn print_usage() {
          \x20                        profile is bit-identical at any worker count)\n\
          \x20     --heap-backend <b> sim | real (default sim; real backs regions with\n\
          \x20                        actual memory — the profile is bit-identical)\n\
-         \x20     --tlab-kb <n>      real-backend allocation window size in KiB\n\
-         \x20                        (default 256; never changes placement)\n\
          \x20     --verify-heap <m>  off | gc | full — run the heap-integrity verifier at\n\
          \x20                        safepoints (default off; trajectories are bit-identical\n\
          \x20                        at any mode); violations exit 7\n\
@@ -165,7 +163,6 @@ fn print_usage() {
          \x20     --chaos-seed <n>   chaos plan seed (default 1)\n\
          \x20     --gc-workers <n>   GC worker threads per tenant runtime (default 1)\n\
          \x20     --heap-backend <b> sim | real per tenant heap (default sim)\n\
-         \x20     --tlab-kb <n>      real-backend allocation window size in KiB (default 256)\n\
          \x20     --verify-heap <m>  off | gc | full per tenant runtime (default off)\n\
          \x20     --heap-mb <n>      hard per-tenant heap quota in MiB; a tenant that\n\
          \x20                        exhausts it is quarantined (reason `oom`)\n\
@@ -187,7 +184,6 @@ fn print_usage() {
          \x20     --seed <n>         workload seed (default 42)\n\
          \x20     --gc-workers <n>   GC mark/evacuate worker threads (default 1)\n\
          \x20     --heap-backend <b> sim | real (default sim)\n\
-         \x20     --tlab-kb <n>      real-backend allocation window size in KiB (default 256)\n\
          \x20     --verify-heap <m>  off | gc | full (default off); violations exit 7\n\
          \x20     --heap-mb <n>      hard heap limit in MiB; exhaustion exits 8\n\
          \x20 polm2 inspect <file>                     pretty-print a profile"
@@ -227,17 +223,6 @@ fn parse_backend(args: &[String]) -> Result<BackendKind, String> {
     }
 }
 
-/// Parses `--tlab-kb` if present; `None` keeps the heap's default window.
-fn parse_tlab_kb(args: &[String]) -> Result<Option<u64>, String> {
-    match flag(args, "--tlab-kb") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(kb) if kb > 0 => Ok(Some(kb)),
-            _ => Err(format!("--tlab-kb expects a positive KiB count, got {v:?}")),
-        },
-        None => Ok(None),
-    }
-}
-
 /// Parses `--verify-heap` (default `off`).
 fn parse_verify(args: &[String]) -> Result<VerifyMode, String> {
     match flag(args, "--verify-heap") {
@@ -258,22 +243,40 @@ fn parse_heap_mb(args: &[String]) -> Result<Option<u64>, String> {
     }
 }
 
-/// Parses `--chaos-heap` (memory-corruption injection rate) and checks its
-/// prerequisites: planting needs real memory to flip bits in, and detection
-/// needs the verifier on at every safepoint.
-fn parse_chaos_heap(args: &[String], backend: BackendKind) -> Result<f64, String> {
+/// Applies the runtime flags `profile`, `fleet` and `run` share to
+/// `runtime`: `--gc-workers`, `--heap-backend`, `--verify-heap` and
+/// `--heap-mb`.
+fn parse_runtime(args: &[String], runtime: RuntimeConfig) -> Result<RuntimeConfig, String> {
+    Ok(runtime
+        .with_gc_workers(parse_u64(args, "--gc-workers", 1)? as usize)
+        .with_heap_backend(parse_backend(args)?)
+        .with_verify_heap(parse_verify(args)?)
+        .with_heap_limit_mb(parse_heap_mb(args)?))
+}
+
+/// Parses `--chaos-heap` (memory-corruption injection rate) for `profile`
+/// and `fleet`, and checks its prerequisites against `runtime`: planting
+/// needs real memory to flip bits in, and detection needs the verifier on
+/// at every safepoint, so a nonzero rate turns `--verify-heap off` into
+/// `full`.
+fn parse_chaos_heap(args: &[String], runtime: &mut RuntimeConfig) -> Result<f64, String> {
     let rate = parse_f64(args, "--chaos-heap", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!(
             "--chaos-heap expects a rate in 0.0..=1.0, got {rate}"
         ));
     }
-    if rate > 0.0 && backend != BackendKind::Real {
+    if rate > 0.0 && runtime.heap.backend != BackendKind::Real {
         return Err(
             "--chaos-heap needs --heap-backend real (there is no memory to corrupt \
                     on the sim backend)"
                 .into(),
         );
+    }
+    if rate > 0.0 && runtime.heap.verify == VerifyMode::Off {
+        // A planted corruption must be *detected*, not silently executed
+        // on: the chaos arm implies the strictest verification cadence.
+        *runtime = runtime.with_verify_heap(VerifyMode::Full);
     }
     Ok(rate)
 }
@@ -310,22 +313,13 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         )));
     }
     let chaos_seed = parse_u64(args, "--chaos-seed", 1)?;
-    let gc_workers = parse_u64(args, "--gc-workers", 1)?;
-    let backend = parse_backend(args)?;
-    let tlab_kb = parse_tlab_kb(args)?;
-    let chaos_heap = parse_chaos_heap(args, backend)?;
-    let mut verify = parse_verify(args)?;
-    let heap_mb = parse_heap_mb(args)?;
+    let mut runtime = parse_runtime(args, ProfilePhaseConfig::paper().runtime)?;
+    let chaos_heap = parse_chaos_heap(args, &mut runtime)?;
     let out = flag(args, "--out").unwrap_or_else(|| format!("{name}.profile"));
     let journal_dir = flag(args, "--journal");
     let resume = args.iter().any(|a| a == "--resume");
     if resume && journal_dir.is_none() {
         return Err(CliError::from("--resume needs --journal <dir>"));
-    }
-    if chaos_heap > 0.0 && verify == VerifyMode::Off {
-        // A planted corruption must be *detected*, not silently executed on:
-        // the chaos arm implies the strictest verification cadence.
-        verify = VerifyMode::Full;
     }
 
     let mut faults = FaultConfig::all_at(chaos, chaos_seed);
@@ -334,21 +328,13 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
         faults.heap_header_clobber_rate = chaos_heap;
         faults.heap_stray_write_rate = chaos_heap;
     }
-    let mut config = ProfilePhaseConfig {
+    let config = ProfilePhaseConfig {
         duration: SimDuration::from_secs(minutes * 60),
         seed,
         faults,
+        runtime,
         ..ProfilePhaseConfig::paper()
     };
-    config.runtime = config
-        .runtime
-        .with_gc_workers(gc_workers as usize)
-        .with_heap_backend(backend)
-        .with_verify_heap(verify)
-        .with_heap_limit_mb(heap_mb);
-    if let Some(kb) = tlab_kb {
-        config.runtime = config.runtime.with_tlab_kb(kb);
-    }
     if chaos > 0.0 {
         eprintln!(
             "profiling {name} for {minutes} simulated minutes \
@@ -516,15 +502,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
             )));
         }
         let chaos_seed = parse_u64(args, "--chaos-seed", 1)?;
-        let gc_workers = parse_u64(args, "--gc-workers", 1)?;
-        let backend = parse_backend(args)?;
-        let tlab_kb = parse_tlab_kb(args)?;
-        let chaos_heap = parse_chaos_heap(args, backend)?;
-        let mut verify = parse_verify(args)?;
-        let heap_mb = parse_heap_mb(args)?;
-        if chaos_heap > 0.0 && verify == VerifyMode::Off {
-            verify = VerifyMode::Full;
-        }
+        // The heap budget is a per-tenant quota: each tenant's runtime owns
+        // its own heap.
+        let mut runtime = parse_runtime(args, ProfilePhaseConfig::paper().runtime)?;
+        let chaos_heap = parse_chaos_heap(args, &mut runtime)?;
         let root = flag(args, "--journal-root").unwrap_or_else(|| "polm2-fleet".into());
 
         let workloads = paper_workloads();
@@ -534,6 +515,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
                 let mut config = ProfilePhaseConfig {
                     duration: SimDuration::from_secs(minutes * 60),
                     seed: seed + i,
+                    runtime,
                     ..ProfilePhaseConfig::paper()
                 };
                 if chaos_heap > 0.0 {
@@ -541,17 +523,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
                     // seeded stream, so one tenant's faults never shift
                     // another's — the fleet's isolation contract.
                     config.faults = FaultConfig::heap_only_at(chaos_heap, chaos_seed + i);
-                }
-                config.runtime = config
-                    .runtime
-                    .with_gc_workers(gc_workers as usize)
-                    .with_heap_backend(backend)
-                    .with_verify_heap(verify)
-                    // The heap budget is a per-tenant quota: each tenant's
-                    // runtime owns its own heap.
-                    .with_heap_limit_mb(heap_mb);
-                if let Some(kb) = tlab_kb {
-                    config.runtime = config.runtime.with_tlab_kb(kb);
                 }
                 TenantSpec {
                     tenant: format!("tenant-{i:02}"),
@@ -696,26 +667,12 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
     };
 
-    let gc_workers = parse_u64(args, "--gc-workers", 1)?;
-    let backend = parse_backend(args)?;
-    let tlab_kb = parse_tlab_kb(args)?;
-    let verify = parse_verify(args)?;
-    let heap_mb = parse_heap_mb(args)?;
-    let mut config = RunConfig {
+    let config = RunConfig {
         duration: SimDuration::from_secs(minutes * 60),
         warmup: SimDuration::from_secs(warmup * 60),
         seed,
-        ..RunConfig::paper()
+        runtime: parse_runtime(args, RunConfig::paper().runtime)?,
     };
-    config.runtime = config
-        .runtime
-        .with_gc_workers(gc_workers as usize)
-        .with_heap_backend(backend)
-        .with_verify_heap(verify)
-        .with_heap_limit_mb(heap_mb);
-    if let Some(kb) = tlab_kb {
-        config.runtime = config.runtime.with_tlab_kb(kb);
-    }
     eprintln!(
         "running {name} under {} for {minutes} simulated minutes (warmup {warmup}, seed {seed}) ...",
         setup.label()
