@@ -1,12 +1,17 @@
 //! The C4-like concurrent collector model.
 
-use polm2_heap::{GenId, Heap, HeapError, SpaceId};
+use polm2_heap::{GenId, Heap, SpaceId};
 
 use crate::collector::{
-    evacuate_young, oom_if_exhausted, over_mixed_trigger, pool_pressure, reclaim_spaces,
-    survivor_cap, AllocOutcome, AllocRequest, Collector, MarkCycle, SafepointRoots,
+    alloc_ladder, collect_full, collect_young, over_mixed_trigger, pool_pressure, AllocOutcome,
+    AllocRequest, Collector, Rung, SafepointRoots,
 };
 use crate::{GcConfig, GcError, GcKind, GcWork, PauseEvent};
+
+/// Barrier tax in permille of each mutator operation's base cost (28%).
+const BARRIER_PERMILLE: u32 = 280;
+/// Upper bound on any single safepoint (8 ms).
+const MAX_PHASE_PAUSE_US: u64 = 8_000;
 
 /// Azul's Continuously Concurrent Compacting Collector, as the paper models
 /// it.
@@ -29,17 +34,13 @@ use crate::{GcConfig, GcError, GcKind, GcWork, PauseEvent};
 pub struct C4Collector {
     config: GcConfig,
     old: Option<SpaceId>,
-    /// Barrier tax in permille of each mutator operation's base cost.
-    barrier_permille: u32,
-    /// Upper bound on any single safepoint.
-    max_phase_pause_us: u64,
     /// Last-resort full cycles forced by a failed allocation.
     emergency_collections: u64,
 }
 
 impl C4Collector {
-    /// Creates a C4 collector with the given tuning and the default barrier
-    /// tax (28%) and 8 ms phase-pause bound.
+    /// Creates a C4 collector with the given tuning, a 28% barrier tax and
+    /// an 8 ms phase-pause bound.
     ///
     /// # Panics
     ///
@@ -49,16 +50,8 @@ impl C4Collector {
         C4Collector {
             config,
             old: None,
-            barrier_permille: 280,
-            max_phase_pause_us: 8_000,
             emergency_collections: 0,
         }
-    }
-
-    /// Overrides the barrier tax (for ablation benches).
-    pub fn with_barrier_permille(mut self, permille: u32) -> Self {
-        self.barrier_permille = permille;
-        self
     }
 
     fn old_space(&self) -> SpaceId {
@@ -81,52 +74,36 @@ impl C4Collector {
             .into_iter()
             .map(|us| PauseEvent {
                 kind: GcKind::ConcurrentPhase,
-                pause: polm2_metrics::SimDuration::from_micros(us.min(self.max_phase_pause_us)),
+                pause: polm2_metrics::SimDuration::from_micros(us.min(MAX_PHASE_PAUSE_US)),
                 work: GcWork::default(),
             })
             .collect()
     }
 
+    /// One concurrent cycle: young only, or, when `full` or past the mixed
+    /// trigger, a full mark that also compacts the old space (promoting
+    /// every survivor only when `full`).
     fn cycle(
         &mut self,
         heap: &mut Heap,
         roots: &SafepointRoots<'_>,
         full: bool,
     ) -> Result<Vec<PauseEvent>, GcError> {
-        let reclaim = full || over_mixed_trigger(heap, self.config.mixed_trigger_fraction);
-        let threshold = if full {
-            0
+        let old = self.old_space();
+        let work = if full || over_mixed_trigger(heap, self.config.mixed_trigger_fraction) {
+            let threshold = if full {
+                0
+            } else {
+                self.config.tenure_threshold
+            };
+            collect_full(heap, roots, &self.config, threshold, &[old])?
         } else {
-            self.config.tenure_threshold
-        };
-        let (young, olds) = if reclaim {
-            let cycle = MarkCycle::run(heap, roots);
-            let young = evacuate_young(
-                heap,
-                &cycle.live,
-                threshold,
-                self.old_space(),
-                survivor_cap(heap, self.config.survivor_ratio),
-            )?;
-            let olds = reclaim_spaces(heap, &cycle, &[self.old_space()], 1.0, u32::MAX)?;
-            heap.retire_live_set(cycle.live);
-            (young, olds)
-        } else {
-            let live = heap.mark_live_young(roots.stack_roots());
-            let young = evacuate_young(
-                heap,
-                &live,
-                threshold,
-                self.old_space(),
-                survivor_cap(heap, self.config.survivor_ratio),
-            )?;
-            heap.retire_live_set(live);
-            (young, GcWork::default())
+            collect_young(heap, roots, &self.config, old)?
         };
         // Cycle boundary: let the backend run deferred allocator
         // maintenance (tenured free-list coalescing).
         heap.note_gc_cycle_finished();
-        Ok(self.phase_pauses(&young.merged(olds)))
+        Ok(self.phase_pauses(&work))
     }
 }
 
@@ -147,47 +124,18 @@ impl Collector for C4Collector {
         req: AllocRequest,
         roots: &SafepointRoots<'_>,
     ) -> Result<AllocOutcome, GcError> {
-        let mut pauses = Vec::new();
-        // Collect pre-emptively under pool pressure (see G1Collector::alloc).
-        if pool_pressure(heap) {
-            pauses.extend(
-                self.cycle(heap, roots, true)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-        }
-        // A hard heap-limit miss (`OutOfMemory`) is retried the same way
-        // pool exhaustion is: collection frees budget too.
-        match heap.allocate(req.class, req.size, req.site, Heap::YOUNG_SPACE) {
-            Ok(object) => return Ok(AllocOutcome { object, pauses }),
-            Err(HeapError::SpaceFull { .. })
-            | Err(HeapError::OutOfRegions { .. })
-            | Err(HeapError::OutOfMemory { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
-        let full = pool_pressure(heap);
-        pauses.extend(
-            self.cycle(heap, roots, full)
-                .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-        );
-        match heap.allocate(req.class, req.size, req.site, Heap::YOUNG_SPACE) {
-            Ok(object) => return Ok(AllocOutcome { object, pauses }),
-            Err(HeapError::SpaceFull { .. })
-            | Err(HeapError::OutOfRegions { .. })
-            | Err(HeapError::OutOfMemory { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
-        // Last resort: one emergency full cycle, then the verdict.
-        self.emergency_collections += 1;
-        pauses.extend(
-            self.cycle(heap, roots, true)
-                .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-        );
-        match heap.allocate(req.class, req.size, req.site, Heap::YOUNG_SPACE) {
-            Ok(object) => Ok(AllocOutcome { object, pauses }),
-            Err(_) => Err(GcError::OutOfMemory {
-                requested: u64::from(req.size),
-            }),
-        }
+        alloc_ladder(heap, &req, Heap::YOUNG_SPACE, |heap, rung, pauses| {
+            let full = match rung {
+                Rung::PoolPressure => true,
+                Rung::Retry => pool_pressure(heap),
+                Rung::Emergency => {
+                    self.emergency_collections += 1;
+                    true
+                }
+            };
+            pauses.extend(self.cycle(heap, roots, full)?);
+            Ok(())
+        })
     }
 
     fn collect(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Vec<PauseEvent> {
@@ -195,7 +143,7 @@ impl Collector for C4Collector {
     }
 
     fn mutator_overhead_permille(&self) -> u32 {
-        self.barrier_permille
+        BARRIER_PERMILLE
     }
 
     fn reported_committed_bytes(&self, heap: &Heap) -> u64 {
@@ -265,8 +213,6 @@ mod tests {
             gc.reported_committed_bytes(&heap),
             heap.config().total_bytes
         );
-        let tuned = C4Collector::new(GcConfig::default()).with_barrier_permille(100);
-        assert_eq!(tuned.mutator_overhead_permille(), 100);
     }
 
     #[test]

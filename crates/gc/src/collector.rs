@@ -4,7 +4,7 @@ use std::fmt;
 
 use polm2_heap::{EvacDecision, GenId, Heap, HeapError, LiveSet, ObjectId, SpaceId};
 
-use crate::{GcError, GcWork, PauseEvent};
+use crate::{GcConfig, GcError, GcWork, PauseEvent};
 
 /// Identifies one mutator thread (the unit NG2C's target generation is local
 /// to).
@@ -285,29 +285,6 @@ impl MarkCycle {
     }
 }
 
-/// Ensures a usable marking cycle, refreshing it after `max_uses` mixed
-/// pauses (the next concurrent cycle in real G1).
-pub(crate) fn ensure_mark(
-    cache: &mut Option<MarkCycle>,
-    heap: &mut Heap,
-    roots: &SafepointRoots<'_>,
-    max_uses: u32,
-) {
-    let stale = match cache {
-        Some(c) => c.uses >= max_uses,
-        None => true,
-    };
-    if stale {
-        if let Some(old) = cache.take() {
-            heap.retire_live_set(old.live);
-        }
-        *cache = Some(MarkCycle::run(heap, roots));
-    }
-    if let Some(c) = cache.as_mut() {
-        c.uses += 1;
-    }
-}
-
 /// Reclaims old spaces incrementally: releases wholly-dead regions, then
 /// sweeps + compacts up to `max_regions` victim regions chosen by lowest
 /// live fraction (G1's collection set). Liveness comes from the marking
@@ -401,19 +378,124 @@ pub(crate) fn reclaim_spaces(
     Ok(work)
 }
 
-/// Converts pool exhaustion *during* a collection into [`GcError::OutOfMemory`]:
-/// if even the collector cannot find a region to copy survivors into, the heap
-/// is truly full. Other errors pass through unchanged.
+/// A young collection: marks the young generation (remembered set plus
+/// roots; the old spaces are assumed live), evacuates it at the configured
+/// tenuring threshold, promoting into `promote_to`, and retires the live
+/// set.
+pub(crate) fn collect_young(
+    heap: &mut Heap,
+    roots: &SafepointRoots<'_>,
+    config: &GcConfig,
+    promote_to: SpaceId,
+) -> Result<GcWork, GcError> {
+    let live = heap.mark_live_young(roots.stack_roots());
+    let work = evacuate_young(
+        heap,
+        &live,
+        config.tenure_threshold,
+        promote_to,
+        survivor_cap(heap, config.survivor_ratio),
+    )?;
+    heap.retire_live_set(live);
+    Ok(work)
+}
+
+/// A full collection: marks afresh, evacuates young at `tenure_threshold`
+/// (0 promotes every survivor) into the first of `old_spaces`, compacts
+/// every region of `old_spaces` that is not completely full, and retires
+/// the live set.
+pub(crate) fn collect_full(
+    heap: &mut Heap,
+    roots: &SafepointRoots<'_>,
+    config: &GcConfig,
+    tenure_threshold: u8,
+    old_spaces: &[SpaceId],
+) -> Result<GcWork, GcError> {
+    let cycle = MarkCycle::run(heap, roots);
+    let young = evacuate_young(
+        heap,
+        &cycle.live,
+        tenure_threshold,
+        old_spaces[0],
+        survivor_cap(heap, config.survivor_ratio),
+    )?;
+    let old = reclaim_spaces(heap, &cycle, old_spaces, 1.0, u32::MAX)?;
+    heap.retire_live_set(cycle.live);
+    Ok(young.merged(old))
+}
+
+/// Why the allocation ladder asks a collector to collect.
+pub(crate) enum Rung {
+    /// The free pool is too small to absorb a young evacuation, so old space
+    /// is reclaimed before the first attempt: promotion and pretenuring
+    /// drain the pool without ever failing a young allocation.
+    PoolPressure,
+    /// The first attempt failed: collect, then retry.
+    Retry,
+    /// The retry failed too: one last-resort full collection, then the
+    /// verdict.
+    Emergency,
+}
+
+/// The allocation ladder every collector climbs: collect first under pool
+/// pressure, try to allocate `req` in `space`, collect and retry, and take
+/// one emergency collection before the [`GcError::OutOfMemory`] verdict.
+/// `collect` appends the pauses of the collection each rung asks for.
 ///
-/// After this error the heap may be left mid-evacuation; an out-of-memory
+/// Pool exhaustion *during* a collection is that verdict too: if even the
+/// collector cannot find a region to copy survivors into, the heap is truly
+/// full. The heap may then be left mid-evacuation; an out-of-memory
 /// collector, like an OOM JVM, is not expected to resume.
-pub(crate) fn oom_if_exhausted(e: GcError, requested: u64) -> GcError {
-    match e {
-        GcError::Heap(HeapError::OutOfRegions { .. })
-        | GcError::Heap(HeapError::SpaceFull { .. })
-        | GcError::Heap(HeapError::OutOfMemory { .. }) => GcError::OutOfMemory { requested },
+pub(crate) fn alloc_ladder(
+    heap: &mut Heap,
+    req: &AllocRequest,
+    space: SpaceId,
+    mut collect: impl FnMut(&mut Heap, Rung, &mut Vec<PauseEvent>) -> Result<(), GcError>,
+) -> Result<AllocOutcome, GcError> {
+    let requested = u64::from(req.size);
+    let exhausted = |e| match e {
+        GcError::Heap(e) if is_exhaustion(&e) => GcError::OutOfMemory { requested },
         other => other,
+    };
+    let mut pauses = Vec::new();
+    if pool_pressure(heap) {
+        collect(heap, Rung::PoolPressure, &mut pauses).map_err(exhausted)?;
     }
+    for rung in [Rung::Retry, Rung::Emergency] {
+        if let Some(object) = try_alloc(heap, req, space)? {
+            return Ok(AllocOutcome { object, pauses });
+        }
+        collect(heap, rung, &mut pauses).map_err(exhausted)?;
+    }
+    match try_alloc(heap, req, space) {
+        Ok(Some(object)) => Ok(AllocOutcome { object, pauses }),
+        _ => Err(GcError::OutOfMemory { requested }),
+    }
+}
+
+/// One allocation attempt: `Ok(None)` when a collection may make room.
+/// Other heap errors are bugs and pass through.
+fn try_alloc(
+    heap: &mut Heap,
+    req: &AllocRequest,
+    space: SpaceId,
+) -> Result<Option<ObjectId>, GcError> {
+    match heap.allocate(req.class, req.size, req.site, space) {
+        Ok(object) => Ok(Some(object)),
+        Err(e) if is_exhaustion(&e) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The heap errors a collection can cure: the space or the region pool is
+/// exhausted, or the hard heap limit was hit (collection frees budget too).
+fn is_exhaustion(e: &HeapError) -> bool {
+    matches!(
+        e,
+        HeapError::SpaceFull { .. }
+            | HeapError::OutOfRegions { .. }
+            | HeapError::OutOfMemory { .. }
+    )
 }
 
 /// True when the heap occupancy crosses the mixed-collection trigger.

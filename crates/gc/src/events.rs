@@ -132,11 +132,6 @@ impl GcLog {
         h
     }
 
-    /// Events of one kind.
-    pub fn events_of(&self, kind: GcKind) -> impl Iterator<Item = &GcEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
     /// Aggregate work across all events.
     pub fn total_work(&self) -> GcWork {
         self.events
@@ -168,7 +163,6 @@ mod tests {
         log.push(event(2, 20, GcKind::Mixed));
         assert_eq!(log.cycle_count(), 2);
         assert_eq!(log.total_pause(), SimDuration::from_millis(30));
-        assert_eq!(log.events_of(GcKind::Minor).count(), 1);
         assert_eq!(log.total_work().copied_bytes, 30);
     }
 

@@ -1,10 +1,10 @@
 //! The G1-like baseline collector.
 
-use polm2_heap::{GenId, Heap, HeapError, SpaceId};
+use polm2_heap::{GenId, Heap, SpaceId};
 
 use crate::collector::{
-    ensure_mark, evacuate_young, oom_if_exhausted, over_mixed_trigger, pool_pressure,
-    reclaim_spaces, survivor_cap, AllocOutcome, AllocRequest, Collector, MarkCycle, SafepointRoots,
+    alloc_ladder, collect_full, collect_young, over_mixed_trigger, pool_pressure, reclaim_spaces,
+    AllocOutcome, AllocRequest, Collector, MarkCycle, Rung, SafepointRoots,
 };
 use crate::{GcConfig, GcError, GcKind, GcWork, PauseEvent};
 
@@ -18,11 +18,17 @@ use crate::{GcConfig, GcError, GcKind, GcWork, PauseEvent};
 /// promoted en masse, and compacted after they die — the paper's motivating
 /// pathology.
 ///
+/// [`Ng2cCollector`](crate::Ng2cCollector) is this collector plus the
+/// generations it creates: mixed and full pauses reclaim every space after
+/// young.
+///
 /// See the [crate documentation](crate) for a usage example.
 #[derive(Debug)]
 pub struct G1Collector {
     config: GcConfig,
-    old: Option<SpaceId>,
+    /// Young, old, then every generation NG2C creates, in creation order.
+    /// Empty until attached.
+    pub(crate) spaces: Vec<SpaceId>,
     /// The current (conceptually concurrent) marking cycle.
     mark: Option<MarkCycle>,
     /// Last-resort full collections forced by a failed allocation.
@@ -39,19 +45,30 @@ impl G1Collector {
         config.validate().expect("invalid GC configuration");
         G1Collector {
             config,
-            old: None,
+            spaces: Vec::new(),
             mark: None,
             emergency_collections: 0,
         }
     }
 
-    /// The collector's tuning parameters.
-    pub fn config(&self) -> &GcConfig {
-        &self.config
+    /// The promotion target: the classic old generation.
+    fn old_space(&self) -> SpaceId {
+        *self.spaces.get(1).expect("collector not attached")
     }
 
-    fn old_space(&self) -> SpaceId {
-        self.old.expect("collector not attached")
+    fn priced(&self, kind: GcKind, work: GcWork) -> PauseEvent {
+        PauseEvent {
+            kind,
+            pause: self.config.cost.pause(&work),
+            work,
+        }
+    }
+
+    /// Retires the cached mark cycle, so the next mixed pause marks afresh.
+    fn drop_mark(&mut self, heap: &mut Heap) {
+        if let Some(stale) = self.mark.take() {
+            heap.retire_live_set(stale.live);
+        }
     }
 
     fn minor(
@@ -59,22 +76,8 @@ impl G1Collector {
         heap: &mut Heap,
         roots: &SafepointRoots<'_>,
     ) -> Result<PauseEvent, GcError> {
-        // Minor collections trace only the young generation (remembered set
-        // + roots); the old spaces are assumed live.
-        let live = heap.mark_live_young(roots.stack_roots());
-        let work = evacuate_young(
-            heap,
-            &live,
-            self.config.tenure_threshold,
-            self.old_space(),
-            survivor_cap(heap, self.config.survivor_ratio),
-        )?;
-        heap.retire_live_set(live);
-        Ok(PauseEvent {
-            kind: GcKind::Minor,
-            pause: self.config.cost.pause(&work),
-            work,
-        })
+        let work = collect_young(heap, roots, &self.config, self.old_space())?;
+        Ok(self.priced(GcKind::Minor, work))
     }
 
     fn mixed(
@@ -82,57 +85,73 @@ impl G1Collector {
         heap: &mut Heap,
         roots: &SafepointRoots<'_>,
     ) -> Result<PauseEvent, GcError> {
-        let young_live = heap.mark_live_young(roots.stack_roots());
-        let young = evacuate_young(
-            heap,
-            &young_live,
-            self.config.tenure_threshold,
-            self.old_space(),
-            survivor_cap(heap, self.config.survivor_ratio),
-        )?;
-        heap.retire_live_set(young_live);
-        ensure_mark(&mut self.mark, heap, roots, self.config.mark_cycle_uses);
-        let mark = self.mark.as_ref().expect("ensured above");
+        let young = collect_young(heap, roots, &self.config, self.old_space())?;
+        // One marking cycle serves `mark_cycle_uses` mixed pauses; then the
+        // next (conceptually concurrent) cycle runs.
+        let uses = self.config.mark_cycle_uses;
+        if self.mark.as_ref().is_none_or(|m| m.uses >= uses) {
+            self.drop_mark(heap);
+            self.mark = Some(MarkCycle::run(heap, roots));
+        }
+        let mark = self.mark.as_mut().expect("refreshed above");
+        mark.uses += 1;
         let old = reclaim_spaces(
             heap,
             mark,
-            &[self.old_space()],
+            &self.spaces[1..],
             self.config.compact_live_fraction,
             self.config.max_compact_regions_per_pause,
         )?;
-        let work = young.merged(old);
-        Ok(PauseEvent {
-            kind: GcKind::Mixed,
-            pause: self.config.cost.pause(&work),
-            work,
-        })
+        Ok(self.priced(GcKind::Mixed, young.merged(old)))
     }
 
     fn full(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Result<PauseEvent, GcError> {
-        // Full collections mark afresh, promote every survivor (threshold
-        // 0), and compact every old region that is not completely full.
-        let cycle = MarkCycle::run(heap, roots);
-        let young = evacuate_young(
-            heap,
-            &cycle.live,
-            0,
-            self.old_space(),
-            survivor_cap(heap, self.config.survivor_ratio),
-        )?;
-        let old = reclaim_spaces(heap, &cycle, &[self.old_space()], 1.0, u32::MAX)?;
+        // Full collections promote every survivor (threshold 0).
+        let work = collect_full(heap, roots, &self.config, 0, &self.spaces[1..])?;
         // The heap changed wholesale; the next mixed pause re-marks.
-        if let Some(stale) = self.mark.take() {
-            heap.retire_live_set(stale.live);
-        }
-        heap.retire_live_set(cycle.live);
-        let work = young.merged(old);
+        self.drop_mark(heap);
         // Cycle boundary: let the backend run deferred allocator
         // maintenance (tenured free-list coalescing).
         heap.note_gc_cycle_finished();
-        Ok(PauseEvent {
-            kind: GcKind::Full,
-            pause: self.config.cost.pause(&work),
-            work,
+        Ok(self.priced(GcKind::Full, work))
+    }
+
+    /// Allocates `req` in `space`: young, or the target generation of an
+    /// NG2C pretenured request.
+    pub(crate) fn alloc_in(
+        &mut self,
+        heap: &mut Heap,
+        req: AllocRequest,
+        space: SpaceId,
+        roots: &SafepointRoots<'_>,
+    ) -> Result<AllocOutcome, GcError> {
+        alloc_ladder(heap, &req, space, |heap, rung, pauses| {
+            match rung {
+                // The floating garbage of the current mark cycle is what is
+                // squeezing the pool: refresh the mark, then reclaim
+                // incrementally; a full collection is the last resort.
+                Rung::PoolPressure => {
+                    self.drop_mark(heap);
+                    pauses.push(self.mixed(heap, roots)?);
+                    if pool_pressure(heap) {
+                        pauses.push(self.full(heap, roots)?);
+                    }
+                }
+                // Make sure old-space pressure will not sink the
+                // evacuation, then run the young collection.
+                Rung::Retry => pauses.push(if pool_pressure(heap) {
+                    self.full(heap, roots)?
+                } else if over_mixed_trigger(heap, self.config.mixed_trigger_fraction) {
+                    self.mixed(heap, roots)?
+                } else {
+                    self.minor(heap, roots)?
+                }),
+                Rung::Emergency => {
+                    self.emergency_collections += 1;
+                    pauses.push(self.full(heap, roots)?);
+                }
+            }
+            Ok(())
         })
     }
 }
@@ -143,8 +162,8 @@ impl Collector for G1Collector {
     }
 
     fn attach(&mut self, heap: &mut Heap) {
-        assert!(self.old.is_none(), "collector already attached");
-        self.old = Some(heap.create_space(GenId::new(1), None));
+        assert!(self.spaces.is_empty(), "collector already attached");
+        self.spaces = vec![Heap::YOUNG_SPACE, heap.create_space(GenId::new(1), None)];
         heap.set_gc_workers(self.config.gc_workers);
     }
 
@@ -154,85 +173,12 @@ impl Collector for G1Collector {
         req: AllocRequest,
         roots: &SafepointRoots<'_>,
     ) -> Result<AllocOutcome, GcError> {
-        let mut pauses = Vec::new();
-        // Old-space growth (promotion, pretenuring) drains the shared pool
-        // without ever failing a young allocation; collect pre-emptively so
-        // evacuation always has to-space available.
-        if pool_pressure(heap) {
-            // Under pool pressure the floating garbage of the current mark
-            // cycle is what is squeezing us: refresh the mark, then reclaim
-            // incrementally; a full collection is the last resort.
-            if let Some(stale) = self.mark.take() {
-                heap.retire_live_set(stale.live);
-            }
-            pauses.push(
-                self.mixed(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-            if pool_pressure(heap) {
-                pauses.push(
-                    self.full(heap, roots)
-                        .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-                );
-            }
-        }
-        // Fast path. A hard heap-limit miss (`OutOfMemory`) is retried the
-        // same way pool exhaustion is: collection frees budget too.
-        match heap.allocate(req.class, req.size, req.site, Heap::YOUNG_SPACE) {
-            Ok(object) => return Ok(AllocOutcome { object, pauses }),
-            Err(HeapError::SpaceFull { .. })
-            | Err(HeapError::OutOfRegions { .. })
-            | Err(HeapError::OutOfMemory { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
-        // Young full: make sure old space pressure will not sink the
-        // evacuation, then run the young collection.
-        if pool_pressure(heap) {
-            pauses.push(
-                self.full(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-        } else if over_mixed_trigger(heap, self.config.mixed_trigger_fraction) {
-            pauses.push(
-                self.mixed(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-        } else {
-            pauses.push(
-                self.minor(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-        }
-        match heap.allocate(req.class, req.size, req.site, Heap::YOUNG_SPACE) {
-            Ok(object) => return Ok(AllocOutcome { object, pauses }),
-            Err(HeapError::SpaceFull { .. })
-            | Err(HeapError::OutOfRegions { .. })
-            | Err(HeapError::OutOfMemory { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
-        // Last resort: one emergency full collection, then the verdict.
-        self.emergency_collections += 1;
-        pauses.push(
-            self.full(heap, roots)
-                .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-        );
-        match heap.allocate(req.class, req.size, req.site, Heap::YOUNG_SPACE) {
-            Ok(object) => Ok(AllocOutcome { object, pauses }),
-            Err(_) => Err(GcError::OutOfMemory {
-                requested: u64::from(req.size),
-            }),
-        }
+        self.alloc_in(heap, req, Heap::YOUNG_SPACE, roots)
     }
 
     fn collect(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Vec<PauseEvent> {
-        match self.full(heap, roots) {
-            Ok(p) => vec![p],
-            Err(_) => vec![PauseEvent {
-                kind: GcKind::Full,
-                pause: self.config.cost.pause(&GcWork::default()),
-                work: GcWork::default(),
-            }],
-        }
+        let pause = self.full(heap, roots);
+        vec![pause.unwrap_or_else(|_| self.priced(GcKind::Full, GcWork::default()))]
     }
 
     fn emergency_collections(&self) -> u64 {

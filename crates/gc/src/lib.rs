@@ -9,14 +9,21 @@
 //!   collections with a tenuring threshold, incremental mixed collections
 //!   that compact fragmented old regions. Middle-lived data is promoted and
 //!   compacted en masse — the pathology the paper attacks.
-//! * [`Ng2cCollector`] — NG2C (Bruno et al., ISMM '17): N dynamic
-//!   generations and the pretenuring API (`new_generation`,
-//!   `get_target_gen`, `set_target_gen`, and `@Gen`-style pretenured
-//!   allocation). Objects with similar lifetimes co-locate, so whole regions
-//!   die together and the collector reclaims them without copying.
+//! * [`Ng2cCollector`] — NG2C (Bruno et al., ISMM '17): a [`G1Collector`]
+//!   plus N dynamic generations and the pretenuring API (`new_generation`,
+//!   `get_target_gen`, `set_target_gen`, and the `@Gen`-style pretenured
+//!   allocation path). Its young, mixed and full collections are G1's, with
+//!   mixed and full pauses reclaiming every generation. Objects with similar
+//!   lifetimes co-locate, so whole regions die together and the collector
+//!   reclaims them without copying.
 //! * [`C4Collector`] — Azul's continuously concurrent compacting collector:
 //!   sub-10 ms bounded pauses, a read/write-barrier throughput tax on every
 //!   mutator operation, and full heap pre-reservation.
+//!
+//! All three climb one allocation ladder (collect first under pool
+//! pressure, try, collect and retry, one emergency collection, then the
+//! out-of-memory verdict) and share one young and one full collection
+//! routine.
 //!
 //! [`polm2-heap`]: ../polm2_heap/index.html
 //!

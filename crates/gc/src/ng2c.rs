@@ -2,19 +2,15 @@
 
 use std::collections::HashMap;
 
-use polm2_heap::{GenId, Heap, HeapError, SpaceId};
+use polm2_heap::{GenId, Heap, SpaceId};
 
-use crate::collector::{
-    ensure_mark, evacuate_young, oom_if_exhausted, over_mixed_trigger, pool_pressure,
-    reclaim_spaces, survivor_cap, AllocOutcome, AllocRequest, Collector, MarkCycle, SafepointRoots,
-    ThreadId,
-};
-use crate::{GcConfig, GcError, GcKind, GcWork, PauseEvent};
+use crate::collector::{AllocOutcome, AllocRequest, Collector, SafepointRoots, ThreadId};
+use crate::{G1Collector, GcConfig, GcError, PauseEvent};
 
 /// NG2C: an N-generational pretenuring collector (Bruno et al., ISMM '17).
 ///
-/// Extends the 2-generation design with dynamically created generations and
-/// the API POLM2's Instrumenter targets:
+/// NG2C is [`G1Collector`] plus dynamically created generations and the API
+/// POLM2's Instrumenter targets:
 ///
 /// * [`new_generation`](Collector::new_generation) — create a generation at
 ///   runtime;
@@ -24,21 +20,18 @@ use crate::{GcConfig, GcError, GcKind, GcWork, PauseEvent};
 /// * `@Gen`-annotated allocation — an [`AllocRequest`] with
 ///   `pretenure: true` is placed directly in the thread's target generation.
 ///
-/// Because objects with similar lifetimes are co-located, whole regions die
-/// together and are released without copying — the mechanism behind the
-/// paper's pause-time reductions.
+/// Young, mixed and full collections are G1's; mixed and full pauses
+/// reclaim every created generation along with the old one. Because objects
+/// with similar lifetimes are co-located, whole regions die together and
+/// are released without copying — the mechanism behind the paper's
+/// pause-time reductions.
 #[derive(Debug)]
 pub struct Ng2cCollector {
-    config: GcConfig,
-    /// `gen_spaces[g]` is the space for logical generation `g`;
-    /// index 0 is the young space.
-    gen_spaces: Vec<SpaceId>,
+    /// The G1 policy; its spaces double as the generation table:
+    /// `g1.spaces[g]` backs logical generation `g`.
+    g1: G1Collector,
     /// Thread-local target generations (NG2C keeps these in the JVM thread).
     targets: HashMap<ThreadId, GenId>,
-    /// The current (conceptually concurrent) marking cycle.
-    mark: Option<MarkCycle>,
-    /// Last-resort full collections forced by a failed allocation.
-    emergency_collections: u64,
 }
 
 impl Ng2cCollector {
@@ -48,24 +41,15 @@ impl Ng2cCollector {
     ///
     /// Panics if `config` fails [`GcConfig::validate`].
     pub fn new(config: GcConfig) -> Self {
-        config.validate().expect("invalid GC configuration");
         Ng2cCollector {
-            config,
-            gen_spaces: Vec::new(),
+            g1: G1Collector::new(config),
             targets: HashMap::new(),
-            mark: None,
-            emergency_collections: 0,
         }
-    }
-
-    /// The collector's tuning parameters.
-    pub fn config(&self) -> &GcConfig {
-        &self.config
     }
 
     /// Number of generations currently in existence (young included).
     pub fn generation_count(&self) -> usize {
-        self.gen_spaces.len()
+        self.g1.spaces.len()
     }
 
     /// The space backing logical generation `gen`.
@@ -74,105 +58,11 @@ impl Ng2cCollector {
     ///
     /// [`GcError::UnknownGeneration`] if the generation was never created.
     pub fn space_of(&self, gen: GenId) -> Result<SpaceId, GcError> {
-        self.gen_spaces
+        self.g1
+            .spaces
             .get(gen.raw() as usize)
             .copied()
             .ok_or(GcError::UnknownGeneration { gen: gen.raw() })
-    }
-
-    fn old_space(&self) -> SpaceId {
-        self.gen_spaces[1]
-    }
-
-    fn old_spaces(&self) -> Vec<SpaceId> {
-        self.gen_spaces[1..].to_vec()
-    }
-
-    fn minor(
-        &mut self,
-        heap: &mut Heap,
-        roots: &SafepointRoots<'_>,
-    ) -> Result<PauseEvent, GcError> {
-        // Minor collections trace only the young generation (remembered set
-        // + roots); the old spaces are assumed live.
-        let live = heap.mark_live_young(roots.stack_roots());
-        let work = evacuate_young(
-            heap,
-            &live,
-            self.config.tenure_threshold,
-            self.old_space(),
-            survivor_cap(heap, self.config.survivor_ratio),
-        )?;
-        heap.retire_live_set(live);
-        Ok(PauseEvent {
-            kind: GcKind::Minor,
-            pause: self.config.cost.pause(&work),
-            work,
-        })
-    }
-
-    fn mixed(
-        &mut self,
-        heap: &mut Heap,
-        roots: &SafepointRoots<'_>,
-    ) -> Result<PauseEvent, GcError> {
-        let young_live = heap.mark_live_young(roots.stack_roots());
-        let young = evacuate_young(
-            heap,
-            &young_live,
-            self.config.tenure_threshold,
-            self.old_space(),
-            survivor_cap(heap, self.config.survivor_ratio),
-        )?;
-        heap.retire_live_set(young_live);
-        ensure_mark(&mut self.mark, heap, roots, self.config.mark_cycle_uses);
-        let mark = self.mark.as_ref().expect("ensured above");
-        let olds = reclaim_spaces(
-            heap,
-            mark,
-            &self.old_spaces(),
-            self.config.compact_live_fraction,
-            self.config.max_compact_regions_per_pause,
-        )?;
-        let work = young.merged(olds);
-        Ok(PauseEvent {
-            kind: GcKind::Mixed,
-            pause: self.config.cost.pause(&work),
-            work,
-        })
-    }
-
-    fn full(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Result<PauseEvent, GcError> {
-        let cycle = MarkCycle::run(heap, roots);
-        let young = evacuate_young(
-            heap,
-            &cycle.live,
-            0,
-            self.old_space(),
-            survivor_cap(heap, self.config.survivor_ratio),
-        )?;
-        let olds = reclaim_spaces(heap, &cycle, &self.old_spaces(), 1.0, u32::MAX)?;
-        if let Some(stale) = self.mark.take() {
-            heap.retire_live_set(stale.live);
-        }
-        heap.retire_live_set(cycle.live);
-        let work = young.merged(olds);
-        // Cycle boundary: let the backend run deferred allocator
-        // maintenance (tenured free-list coalescing).
-        heap.note_gc_cycle_finished();
-        Ok(PauseEvent {
-            kind: GcKind::Full,
-            pause: self.config.cost.pause(&work),
-            work,
-        })
-    }
-
-    fn alloc_space(&self, req: &AllocRequest) -> Result<SpaceId, GcError> {
-        if req.pretenure {
-            self.space_of(self.target_gen(req.thread))
-        } else {
-            Ok(Heap::YOUNG_SPACE)
-        }
     }
 }
 
@@ -182,11 +72,8 @@ impl Collector for Ng2cCollector {
     }
 
     fn attach(&mut self, heap: &mut Heap) {
-        assert!(self.gen_spaces.is_empty(), "collector already attached");
-        self.gen_spaces.push(Heap::YOUNG_SPACE);
-        // Generation 1 is the classic old generation (age-out target).
-        self.gen_spaces.push(heap.create_space(GenId::new(1), None));
-        heap.set_gc_workers(self.config.gc_workers);
+        // Generation 1 is G1's old generation (the age-out target).
+        self.g1.attach(heap);
     }
 
     fn alloc(
@@ -195,97 +82,26 @@ impl Collector for Ng2cCollector {
         req: AllocRequest,
         roots: &SafepointRoots<'_>,
     ) -> Result<AllocOutcome, GcError> {
-        let mut pauses = Vec::new();
-        // Old-space growth (promotion, pretenuring) drains the shared pool
-        // without ever failing a young allocation; collect pre-emptively so
-        // evacuation always has to-space available.
-        if pool_pressure(heap) {
-            // Under pool pressure the floating garbage of the current mark
-            // cycle is what is squeezing us: refresh the mark, then reclaim
-            // incrementally; a full collection is the last resort.
-            if let Some(stale) = self.mark.take() {
-                heap.retire_live_set(stale.live);
-            }
-            pauses.push(
-                self.mixed(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-            if pool_pressure(heap) {
-                pauses.push(
-                    self.full(heap, roots)
-                        .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-                );
-            }
-        }
-        let space = self.alloc_space(&req)?;
-        // A hard heap-limit miss (`OutOfMemory`) is retried the same way
-        // pool exhaustion is: collection frees budget too.
-        match heap.allocate(req.class, req.size, req.site, space) {
-            Ok(object) => return Ok(AllocOutcome { object, pauses }),
-            Err(HeapError::SpaceFull { .. })
-            | Err(HeapError::OutOfRegions { .. })
-            | Err(HeapError::OutOfMemory { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
-        if pool_pressure(heap) {
-            pauses.push(
-                self.full(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-        } else if over_mixed_trigger(heap, self.config.mixed_trigger_fraction) {
-            pauses.push(
-                self.mixed(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
+        let space = if req.pretenure {
+            self.space_of(self.target_gen(req.thread))?
         } else {
-            pauses.push(
-                self.minor(heap, roots)
-                    .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-            );
-        }
-        match heap.allocate(req.class, req.size, req.site, space) {
-            Ok(object) => return Ok(AllocOutcome { object, pauses }),
-            Err(HeapError::SpaceFull { .. })
-            | Err(HeapError::OutOfRegions { .. })
-            | Err(HeapError::OutOfMemory { .. }) => {}
-            Err(e) => return Err(e.into()),
-        }
-        // Last resort: one emergency full collection, then the verdict.
-        self.emergency_collections += 1;
-        pauses.push(
-            self.full(heap, roots)
-                .map_err(|e| oom_if_exhausted(e, u64::from(req.size)))?,
-        );
-        match heap.allocate(req.class, req.size, req.site, space) {
-            Ok(object) => Ok(AllocOutcome { object, pauses }),
-            Err(_) => Err(GcError::OutOfMemory {
-                requested: u64::from(req.size),
-            }),
-        }
+            Heap::YOUNG_SPACE
+        };
+        self.g1.alloc_in(heap, req, space, roots)
     }
 
     fn collect(&mut self, heap: &mut Heap, roots: &SafepointRoots<'_>) -> Vec<PauseEvent> {
-        match self.full(heap, roots) {
-            Ok(p) => vec![p],
-            Err(_) => vec![PauseEvent {
-                kind: GcKind::Full,
-                pause: self.config.cost.pause(&GcWork::default()),
-                work: GcWork::default(),
-            }],
-        }
+        self.g1.collect(heap, roots)
     }
 
     fn new_generation(&mut self, heap: &mut Heap) -> GenId {
-        let gen = GenId::new(self.gen_spaces.len() as u32);
-        let space = heap.create_space(gen, None);
-        self.gen_spaces.push(space);
+        let gen = GenId::new(self.g1.spaces.len() as u32);
+        self.g1.spaces.push(heap.create_space(gen, None));
         gen
     }
 
     fn set_target_gen(&mut self, thread: ThreadId, gen: GenId) -> Result<GenId, GcError> {
-        if gen.raw() as usize >= self.gen_spaces.len() {
-            return Err(GcError::UnknownGeneration { gen: gen.raw() });
-        }
+        self.space_of(gen)?;
         Ok(self.targets.insert(thread, gen).unwrap_or(GenId::YOUNG))
     }
 
@@ -294,7 +110,7 @@ impl Collector for Ng2cCollector {
     }
 
     fn emergency_collections(&self) -> u64 {
-        self.emergency_collections
+        self.g1.emergency_collections()
     }
 }
 

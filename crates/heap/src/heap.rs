@@ -1283,23 +1283,63 @@ impl Heap {
             .sum())
     }
 
-    /// Marks the no-need bit on every page of every assigned region that
-    /// contains no live object bytes (the Recorder's pre-snapshot heap walk,
-    /// paper §3.2/§4.1), and clears it on every page that does. Page
-    /// liveness is derived from `live` against current object addresses, so
-    /// it is exact for any set; it is meaningful right after a fresh
+    /// The Dumper's capture walk: one pass over `live` streams its identity
+    /// hashes into `column` as the sorted, duplicate-free u64 column a
+    /// `SnapshotSeries` ingests, reading each hash back out of the backend's
+    /// object headers where real memory exists (falling back to the object
+    /// table for sim heaps and tiny objects), so no per-snapshot hash set is
+    /// ever materialized.
+    ///
+    /// With `mark_no_need`, the same pass records the pages each live object
+    /// spans, and the Recorder's pre-snapshot heap walk (paper §3.2/§4.1)
+    /// follows: the no-need bit is set on every page of every assigned
+    /// region that holds no live object byte and cleared on every page that
+    /// does. Without it, page flags are left untouched. Page liveness is
+    /// derived from `live` against current object addresses, so it is exact
+    /// for any set; it is meaningful right after a fresh
     /// [`mark_live`](Heap::mark_live).
     ///
-    /// Returns the number of pages newly marked.
-    pub fn mark_no_need_pages(&mut self, live: &LiveSet) -> u32 {
-        let mut needed = vec![0u64; (self.page_table.page_count() as usize).div_ceil(64)];
+    /// Returns the number of pages newly marked no-need.
+    ///
+    /// `SnapshotSeries` lives in `polm2-snapshot`; the column contract
+    /// (ascending, deduplicated, widened raw hashes) is shared between the
+    /// two crates.
+    pub fn capture_live(
+        &mut self,
+        live: &LiveSet,
+        column: &mut Vec<u64>,
+        mark_no_need: bool,
+    ) -> u32 {
+        column.clear();
+        column.reserve(live.len());
+        let mut needed = Vec::new();
+        if mark_no_need {
+            needed.resize((self.page_table.page_count() as usize).div_ceil(64), 0u64);
+        }
         for id in live.iter() {
             if let Some(rec) = slab_get(&self.slots, &self.records, id) {
-                let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
-                for p in first..=last {
-                    bit_set(&mut needed, p as usize);
+                let hash = self
+                    .backend
+                    .read_header_hash(rec.addr(), rec.size())
+                    .unwrap_or_else(|| rec.identity_hash());
+                debug_assert_eq!(
+                    hash,
+                    rec.identity_hash(),
+                    "backend object header drifted from the object table"
+                );
+                column.push(u64::from(hash.raw()));
+                if mark_no_need {
+                    let (first, last) = self.page_table.pages_of(rec.addr(), rec.size());
+                    for p in first..=last {
+                        bit_set(&mut needed, p as usize);
+                    }
                 }
             }
+        }
+        column.sort_unstable();
+        column.dedup();
+        if !mark_no_need {
+            return 0;
         }
         let mut marked = 0;
         for region in &self.regions {
@@ -1316,37 +1356,6 @@ impl Heap {
             }
         }
         marked
-    }
-
-    /// Streams the identity hashes of `live` into `out` as the sorted,
-    /// duplicate-free u64 column a `SnapshotSeries` ingests — reading each
-    /// hash back out of the backend's object headers where real memory
-    /// exists (falling back to the object table for sim heaps and tiny
-    /// objects). This is the Dumper's capture path: no per-snapshot hash set
-    /// is ever materialized.
-    ///
-    /// `SnapshotSeries` lives in `polm2-snapshot`; the column contract
-    /// (ascending, deduplicated, widened raw hashes) is shared between the
-    /// two crates.
-    pub fn live_hash_column(&self, live: &LiveSet, out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(live.len());
-        for id in live.iter() {
-            if let Some(rec) = slab_get(&self.slots, &self.records, id) {
-                let hash = self
-                    .backend
-                    .read_header_hash(rec.addr(), rec.size())
-                    .unwrap_or_else(|| rec.identity_hash());
-                debug_assert_eq!(
-                    hash,
-                    rec.identity_hash(),
-                    "backend object header drifted from the object table"
-                );
-                out.push(u64::from(hash.raw()));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -1530,7 +1539,7 @@ mod tests {
         let slot = h.roots_mut().create_slot("r");
         h.roots_mut().push(slot, keep);
         let live = h.mark_live(&[]);
-        let marked = h.mark_no_need_pages(&live);
+        let marked = h.capture_live(&live, &mut Vec::new(), true);
         assert!(
             marked >= 16,
             "dead pages should be marked no-need, got {marked}"
@@ -1903,9 +1912,9 @@ mod tests {
         }
         let (mut sim_col, mut real_col) = (Vec::new(), Vec::new());
         let live = sim.mark_live(&[]);
-        sim.live_hash_column(&live, &mut sim_col);
+        sim.capture_live(&live, &mut sim_col, true);
         let live_r = real.mark_live(&[]);
-        real.live_hash_column(&live_r, &mut real_col);
+        real.capture_live(&live_r, &mut real_col, true);
         assert!(!sim_col.is_empty());
         assert_eq!(sim_col, real_col, "streamed hash columns diverged");
         assert!(sim_col.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");

@@ -477,8 +477,8 @@ fn differential_trace(ops: &[HeapOp], parallel_4w: bool) {
         let live_sim = heaps[0].mark_live(&[]);
         let live_real = heaps[1].mark_live(&[]);
         let (mut col_sim, mut col_real) = (Vec::new(), Vec::new());
-        heaps[0].live_hash_column(&live_sim, &mut col_sim);
-        heaps[1].live_hash_column(&live_real, &mut col_real);
+        heaps[0].capture_live(&live_sim, &mut col_sim, true);
+        heaps[1].capture_live(&live_real, &mut col_real, true);
         prop_assert_eq!(col_sim, col_real, "snapshot columns diverged");
     }
 }

@@ -154,7 +154,7 @@ fn relocation_moves_page_occupancy_not_liveness_semantics() {
     // A fresh mark sweeps the vacated source pages as no-need and keeps
     // the destination pages.
     let live = heap.mark_live(&[]);
-    heap.mark_no_need_pages(&live);
+    heap.capture_live(&live, &mut Vec::new(), true);
     assert!(heap.page_table().flags_of(src_first).no_need);
     assert!(!heap.page_table().flags_of(dst_first).no_need);
 }

@@ -209,8 +209,8 @@ fn walk(heap: &Heap, stack: &[ObjectId]) -> HashSet<ObjectId> {
     seen
 }
 
-/// Checks a full mark, the no-need pages it derives, and a young mark
-/// against [`walk`].
+/// Checks a full mark, the hash column and no-need pages captured from it,
+/// and a young mark against [`walk`].
 fn check_marks_against_walk(heap: &mut Heap, stack: &[ObjectId]) {
     let reached = walk(heap, stack);
 
@@ -234,9 +234,18 @@ fn check_marks_against_walk(heap: &mut Heap, stack: &[ObjectId]) {
         );
     }
 
-    // No-need bit set exactly on assigned pages no reached object overlaps.
-    heap.mark_no_need_pages(&full);
+    // The capture walk streams exactly the reached objects' hashes, and sets
+    // the no-need bit exactly on assigned pages no reached object overlaps.
+    let mut column = Vec::new();
+    heap.capture_live(&full, &mut column, true);
     heap.retire_live_set(full);
+    let mut hashes: Vec<u64> = reached
+        .iter()
+        .map(|id| u64::from(heap.object(*id).expect("reached").identity_hash().raw()))
+        .collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    assert_eq!(column, hashes, "captured hash column");
     let mut overlapped = HashSet::new();
     for id in &reached {
         let rec = heap.object(*id).expect("reached");

@@ -57,11 +57,6 @@ impl CriuDumper {
         CriuDumper { options, seq: 0 }
     }
 
-    /// The active options.
-    pub fn options(&self) -> &DumperOptions {
-        &self.options
-    }
-
     /// Number of snapshots taken so far.
     pub fn snapshots_taken(&self) -> u32 {
         self.seq
@@ -81,20 +76,15 @@ impl HeapDumper for CriuDumper {
 
     fn snapshot(&mut self, heap: &mut Heap, now: SimTime) -> Result<Snapshot, SnapshotError> {
         // Content: live-object identity hashes (snapshots run between
-        // operations; no mutator stacks are live). The same live set drives
-        // the no-need sweep below.
+        // operations; no mutator stacks are live).
         let live = heap.mark_live(&[]);
         // Stream the content column straight off the heap: on a real-memory
         // backend the hashes come out of the object headers page by page, the
         // way CRIU reads /proc/pid/mem — no per-snapshot hash set is
-        // materialized inside the capture window.
-        let mut column = Vec::with_capacity(live.len());
-        heap.live_hash_column(&live, &mut column);
-
-        // The Recorder's madvise walk: mark no-need pages.
-        if self.options.use_no_need {
-            heap.mark_no_need_pages(&live);
-        }
+        // materialized inside the capture window. The same pass feeds the
+        // Recorder's madvise walk, which marks the no-need pages.
+        let mut column = Vec::new();
+        heap.capture_live(&live, &mut column, self.options.use_no_need);
 
         // Capture cost: count pages CRIU would write.
         let page_bytes = u64::from(heap.page_table().page_bytes());

@@ -64,9 +64,9 @@ impl Snapshot {
 
     /// Creates a snapshot record directly from a sorted, duplicate-free
     /// column of raw hash values — the Dumper's streaming capture path
-    /// ([`Heap::live_hash_column`] produces exactly this shape).
+    /// ([`Heap::capture_live`] produces exactly this shape).
     ///
-    /// [`Heap::live_hash_column`]: polm2_heap::Heap::live_hash_column
+    /// [`Heap::capture_live`]: polm2_heap::Heap::capture_live
     ///
     /// # Panics
     ///

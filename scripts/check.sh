@@ -19,11 +19,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== worker-determinism suites under --verify-heap gc"
+echo "== worker-determinism and pinned-trajectory suites under --verify-heap gc"
 # Verification is observation, not participation: the same bit-identity
-# suites must pass with a full integrity pass after every collection
-# (DESIGN.md §18). The env var flips every session/drive in both suites.
+# suites and the collectors' pinned trajectories must hold with a full
+# integrity pass after every collection (DESIGN.md §18). The env var flips
+# every session/drive in these suites.
 POLM2_VERIFY_HEAP=gc cargo test -q -p polm2-gc --test worker_determinism
 POLM2_VERIFY_HEAP=gc cargo test -q -p polm2-core --test gc_worker_determinism
+POLM2_VERIFY_HEAP=gc cargo test -q -p polm2-gc --test collector_scenarios
 
 echo "all checks passed"
