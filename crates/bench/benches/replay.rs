@@ -1,8 +1,8 @@
 //! Criterion benches for the Analyzer's replay path (the columnar survival
-//! table) and the snapshot index build it reads from, for interactive
+//! table) and the snapshot series build that maintains it, for interactive
 //! profiling. `polm2-benchmark` is the end-to-end regression gate.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use polm2_core::{AllocationRecords, Analyzer, AnalyzerConfig};
 use polm2_heap::{Heap, HeapConfig, IdentityHash, ObjectId};
@@ -10,7 +10,7 @@ use polm2_metrics::{SimDuration, SimTime};
 use polm2_runtime::{
     ClassDef, Instr, LoadedProgram, Loader, MethodDef, Program, SizeSpec, TraceFrame,
 };
-use polm2_snapshot::{Snapshot, SnapshotIndex, SnapshotSeries};
+use polm2_snapshot::{Snapshot, SnapshotSeries};
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -22,7 +22,7 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// 100k records over 512 traces, 32 snapshots with per-trace lifespan bias.
-fn build_inputs() -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
+fn build_inputs() -> (AllocationRecords, Vec<Snapshot>, LoadedProgram) {
     const CLASSES: usize = 32;
     const METHODS: usize = 8;
     const RECORDS: u64 = 100_000;
@@ -71,7 +71,7 @@ fn build_inputs() -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
             snap.push(hash);
         }
     }
-    let series: SnapshotSeries = live
+    let snapshots = live
         .into_iter()
         .enumerate()
         .map(|(seq, hashes)| {
@@ -84,11 +84,12 @@ fn build_inputs() -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
             )
         })
         .collect();
-    (records, series, loaded)
+    (records, snapshots, loaded)
 }
 
 fn replay(c: &mut Criterion) {
-    let (records, series, loaded) = build_inputs();
+    let (records, snapshots, loaded) = build_inputs();
+    let series: SnapshotSeries = snapshots.into_iter().collect();
     let analyzer = Analyzer::new(AnalyzerConfig {
         min_survivals: 1,
         ..AnalyzerConfig::default()
@@ -105,9 +106,16 @@ fn replay(c: &mut Criterion) {
 }
 
 fn index_build(c: &mut Criterion) {
-    let (_, series, _) = build_inputs();
-    c.bench_function("snapshot_index_build_and_accumulate", |b| {
-        b.iter(|| SnapshotIndex::build(&series).survival_counts().len())
+    let (_, snapshots, _) = build_inputs();
+    c.bench_function("snapshot_series_build_and_accumulate", |b| {
+        b.iter_batched(
+            || snapshots.clone(),
+            |snapshots| {
+                let series: SnapshotSeries = snapshots.into_iter().collect();
+                series.index().survival_counts().len()
+            },
+            BatchSize::SmallInput,
+        )
     });
 }
 

@@ -29,9 +29,10 @@
 //! Snapshots are journaled as *delta columns* — the sorted added/removed
 //! hash sets each [`SnapshotSeries`] push already computed for its columnar
 //! index (closing the ROADMAP item: serialization streams out of push order,
-//! never re-diffing, never re-materializing a full column). Replay folds the
-//! deltas back together, so the reconstructed series is value-identical to
-//! the captured one.
+//! never re-diffing, never re-materializing a full column). Replay applies
+//! each delta to the replayed series' newest column and pushes the result,
+//! so the reconstructed series is value-identical to the captured one and,
+//! like it, holds one full column at a time.
 //!
 //! The commit frame records the totals the session saw at shutdown; replay
 //! cross-checks them, so a journal that replays cleanly *and* matches its
@@ -50,7 +51,7 @@ use polm2_heap::IdentityHash;
 use polm2_metrics::{FaultCounters, SimDuration, SimTime};
 use polm2_runtime::TraceFrame;
 use polm2_snapshot::journal::{put_str, put_u16, put_u32, put_u64, WireReader};
-use polm2_snapshot::{Frame, JournalError, JournalWriter, Snapshot, SnapshotSeries};
+use polm2_snapshot::{Frame, JournalError, JournalWriter, Snapshot, SnapshotMeta, SnapshotSeries};
 
 use crate::recorder::{AllocationRecords, TraceId};
 
@@ -184,7 +185,7 @@ fn decode_trace_def(payload: &[u8]) -> Result<(u32, Vec<TraceFrame>), JournalErr
     Ok((id, frames))
 }
 
-fn encode_snapshot(snap: &Snapshot, added: &[u64], removed: &[u64]) -> Vec<u8> {
+fn encode_snapshot(snap: &SnapshotMeta, added: &[u64], removed: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, snap.seq);
     put_u64(&mut out, snap.at.as_micros());
@@ -619,11 +620,7 @@ pub fn replay(frames: &[Frame]) -> Result<ReplayedSession, JournalError> {
                     removed.push(u64::from(r.u32()?));
                 }
                 r.expect_exhausted()?;
-                let prev = snapshots
-                    .snapshots()
-                    .last()
-                    .map_or(&[][..], |s| s.sorted_hashes());
-                let column = apply_delta(at, prev, &added, &removed)?;
+                let column = apply_delta(at, snapshots.newest_column(), &added, &removed)?;
                 snapshots.push(Snapshot::from_sorted_column(
                     seq, at_time, column, size_bytes, capture,
                 ));
@@ -796,15 +793,11 @@ mod tests {
     }
 
     fn assert_series_equal(a: &SnapshotSeries, b: &SnapshotSeries) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.snapshots().iter().zip(b.snapshots()) {
-            assert_eq!(x.seq, y.seq);
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.size_bytes, y.size_bytes);
-            assert_eq!(x.capture_time, y.capture_time);
-            assert_eq!(x.live_objects, y.live_objects);
-            assert_eq!(x.sorted_hashes(), y.sorted_hashes());
+        assert_eq!(a.snapshots(), b.snapshots(), "per-capture metadata");
+        for i in 0..a.len() {
+            assert_eq!(a.index().delta(i), b.index().delta(i), "delta {i}");
         }
+        assert_eq!(a.newest_column(), b.newest_column(), "newest column");
         assert_eq!(
             a.index().survival_counts(),
             b.index().survival_counts(),

@@ -1,11 +1,11 @@
 //! The Analyzer's per-trace lifetime statistics checked against a
-//! brute-force oracle: for every recorded object, count the snapshots
-//! containing its hash with [`SnapshotSeries::appearances`] (one hash-set
-//! probe per snapshot — the seed's replay, kept here as the test-side
-//! oracle), then recount each trace's histogram, object count and median
-//! survival from scratch. The Analyzer reads the same counts off the
-//! snapshot index's merged survival table instead; any disagreement is a
-//! replay bug.
+//! brute-force oracle: for every recorded object, count the test's own
+//! snapshots containing its hash (one membership probe per snapshot — the
+//! seed's replay, kept here as the test-side oracle, never read through a
+//! series or its index), then recount each trace's histogram, object count
+//! and median survival from scratch. The Analyzer reads the same counts off
+//! the snapshot index's merged survival table instead; any disagreement is
+//! a replay bug.
 //!
 //! `proptest` is not available offline, so the generator is a hand-rolled
 //! deterministic xorshift: each seed yields one reproducible random workload
@@ -33,7 +33,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// One seeded random workload: a loaded program plus records and snapshots
 /// generated directly (no JVM run needed — the Analyzer only sees these).
-fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgram) {
+fn random_workload(seed: u64) -> (AllocationRecords, Vec<Snapshot>, LoadedProgram) {
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let classes = 3 + (xorshift(&mut rng) % 4) as usize;
     let methods = 2 + (xorshift(&mut rng) % 4) as usize;
@@ -81,7 +81,7 @@ fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgr
             }
         }
     }
-    let series: SnapshotSeries = live
+    let snapshots = live
         .into_iter()
         .enumerate()
         .map(|(seq, hashes)| {
@@ -94,7 +94,7 @@ fn random_workload(seed: u64) -> (AllocationRecords, SnapshotSeries, LoadedProgr
             )
         })
         .collect();
-    (records, series, loaded)
+    (records, snapshots, loaded)
 }
 
 /// The thresholds every check runs under: `min_survivals: 1` so that
@@ -105,28 +105,30 @@ const CONFIG: AnalyzerConfig = AnalyzerConfig {
     min_snapshots: 2,
 };
 
-/// Analyzes the inputs and checks every trace's statistics against the
-/// brute-force recount; returns the outcome for further checks.
+/// Analyzes the inputs as a series and checks every trace's statistics
+/// against the brute-force recount over `snapshots`; returns the outcome
+/// for further checks.
 fn analyze_and_check(
     records: &AllocationRecords,
-    series: &SnapshotSeries,
+    snapshots: &[Snapshot],
     program: &LoadedProgram,
 ) -> AnalysisOutcome {
-    let outcome = Analyzer::new(CONFIG).analyze(records, series, program);
+    let series: SnapshotSeries = snapshots.iter().cloned().collect();
+    let outcome = Analyzer::new(CONFIG).analyze(records, &series, program);
     let lifetimes = outcome.lifetimes.traces();
     assert_eq!(
         lifetimes.len(),
         records.trace_count(),
         "one lifetime per trace"
     );
-    let under_observed = (series.len() as u32) < CONFIG.min_snapshots;
+    let under_observed = (snapshots.len() as u32) < CONFIG.min_snapshots;
     let mut classes: Vec<u32> = Vec::new();
     for (lifetime, id) in lifetimes.iter().zip(records.trace_ids()) {
         assert_eq!(lifetime.trace, id, "lifetimes in trace-id order");
         let mut survivals: Vec<u32> = records
             .stream(id)
             .iter()
-            .map(|&hash| series.appearances(hash) as u32)
+            .map(|&hash| snapshots.iter().filter(|s| s.contains(hash)).count() as u32)
             .collect();
         let mut histogram = BTreeMap::new();
         for &s in &survivals {
@@ -165,8 +167,8 @@ fn analyze_and_check(
 #[test]
 fn seeded_workloads_match_the_brute_force_recount() {
     for seed in [1u64, 7, 42, 1234, 0xdead_beef] {
-        let (records, series, program) = random_workload(seed);
-        let outcome = analyze_and_check(&records, &series, &program);
+        let (records, snapshots, program) = random_workload(seed);
+        let outcome = analyze_and_check(&records, &snapshots, &program);
         assert!(
             !outcome.lifetimes.traces().is_empty(),
             "seed {seed}: generator produced a trivial workload"
@@ -183,12 +185,12 @@ fn degenerate_inputs_match_the_brute_force_recount() {
     // Empty snapshot series: every object survives zero snapshots, and the
     // under-observed guard keeps every trace young.
     let (records, _, program) = random_workload(3);
-    let outcome = analyze_and_check(&records, &SnapshotSeries::new(), &program);
+    let outcome = analyze_and_check(&records, &[], &program);
     assert!(!outcome.lifetimes.traces().is_empty());
     assert!(outcome.profile.is_empty());
     // Empty records.
-    let (_, series, program) = random_workload(4);
-    let outcome = analyze_and_check(&AllocationRecords::default(), &series, &program);
+    let (_, snapshots, program) = random_workload(4);
+    let outcome = analyze_and_check(&AllocationRecords::default(), &snapshots, &program);
     assert!(outcome.lifetimes.traces().is_empty());
     assert!(outcome.profile.is_empty());
 }

@@ -6,6 +6,9 @@ use crate::backend::BackendKind;
 
 /// When the heap's integrity verifier runs (the `--verify-heap` knob).
 ///
+/// The heap never reads it: the runtime's safepoint decides, from its
+/// `RuntimeConfig::verify_heap`, when to call
+/// [`Heap::verify_integrity`](crate::Heap::verify_integrity).
 /// Verification is strictly read-only: trajectories are bit-identical at
 /// every mode, on either backend, at any worker count. The modes only trade
 /// detection latency against mutator overhead.
@@ -83,9 +86,6 @@ pub struct HeapConfig {
     /// region size; ignored by the sim backend. Never affects logical
     /// placement, only how often the real backend's write window refills.
     pub tlab_bytes: u64,
-    /// When the integrity verifier runs (the `--verify-heap` knob).
-    /// Read-only at every setting; see [`VerifyMode`].
-    pub verify: VerifyMode,
     /// Optional hard commit budget in bytes (the `--heap-mb` knob): growing
     /// a space beyond this many committed bytes fails with
     /// [`HeapError::OutOfMemory`] instead of drawing from the region pool.
@@ -108,7 +108,6 @@ impl HeapConfig {
             page_bytes: 4 << 10,
             backend: BackendKind::Sim,
             tlab_bytes: Self::DEFAULT_TLAB_BYTES,
-            verify: VerifyMode::Off,
             limit_bytes: None,
         }
     }
@@ -123,7 +122,6 @@ impl HeapConfig {
             page_bytes: 4 << 10,
             backend: BackendKind::Sim,
             tlab_bytes: Self::DEFAULT_TLAB_BYTES,
-            verify: VerifyMode::Off,
             limit_bytes: None,
         }
     }
@@ -142,12 +140,6 @@ impl HeapConfig {
     /// This geometry with the given TLAB window size in bytes (chainable).
     pub fn with_tlab_bytes(mut self, tlab_bytes: u64) -> Self {
         self.tlab_bytes = tlab_bytes;
-        self
-    }
-
-    /// This geometry with the given verifier mode (chainable).
-    pub fn with_verify(mut self, verify: VerifyMode) -> Self {
-        self.verify = verify;
         self
     }
 
@@ -272,11 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn verify_and_limit_chainables() {
-        let cfg = HeapConfig::small()
-            .with_verify(VerifyMode::Full)
-            .with_limit_bytes(2 << 20);
-        assert_eq!(cfg.verify, VerifyMode::Full);
+    fn limit_chainable() {
+        let cfg = HeapConfig::small().with_limit_bytes(2 << 20);
         assert_eq!(cfg.limit_bytes, Some(2 << 20));
         assert!(cfg.validate().is_ok());
     }

@@ -1,7 +1,7 @@
 //! Runtime configuration.
 
 use polm2_gc::GcConfig;
-use polm2_heap::HeapConfig;
+use polm2_heap::{HeapConfig, VerifyMode};
 
 /// Configuration for a [`Jvm`](crate::Jvm).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,6 +16,9 @@ pub struct RuntimeConfig {
     pub alloc_cost_ns: u64,
     /// Maximum interpreter call depth.
     pub max_stack_depth: usize,
+    /// When the safepoints run the heap's integrity verifier (the
+    /// `--verify-heap` knob). Read-only at every setting; see [`VerifyMode`].
+    pub verify_heap: VerifyMode,
 }
 
 impl RuntimeConfig {
@@ -27,6 +30,7 @@ impl RuntimeConfig {
             instr_cost_ns: 50,
             alloc_cost_ns: 200,
             max_stack_depth: 256,
+            verify_heap: VerifyMode::Off,
         }
     }
 
@@ -54,8 +58,8 @@ impl RuntimeConfig {
     /// This configuration with the given heap-integrity verification mode,
     /// the CLI's `--verify-heap` knob (chainable). Verification is strictly
     /// read-only: trajectories are bit-identical at any mode.
-    pub fn with_verify_heap(mut self, mode: polm2_heap::VerifyMode) -> Self {
-        self.heap.verify = mode;
+    pub fn with_verify_heap(mut self, mode: VerifyMode) -> Self {
+        self.verify_heap = mode;
         self
     }
 
@@ -104,15 +108,14 @@ mod tests {
     }
 
     #[test]
-    fn with_verify_heap_and_limit_set_the_heap_config() {
-        use polm2_heap::VerifyMode;
+    fn with_verify_heap_and_limit_set_their_fields() {
         let cfg = RuntimeConfig::small()
             .with_verify_heap(VerifyMode::Full)
             .with_heap_limit_mb(Some(64));
-        assert_eq!(cfg.heap.verify, VerifyMode::Full);
+        assert_eq!(cfg.verify_heap, VerifyMode::Full);
         assert_eq!(cfg.heap.limit_bytes, Some(64 << 20));
         assert_eq!(cfg.with_heap_limit_mb(None).heap.limit_bytes, None);
-        assert_eq!(RuntimeConfig::small().heap.verify, VerifyMode::Off);
+        assert_eq!(RuntimeConfig::small().verify_heap, VerifyMode::Off);
     }
 
     #[test]

@@ -293,7 +293,7 @@ impl Jvm {
     /// trajectories are bit-identical at any mode.
     pub(crate) fn verify_at_safepoint(&mut self, collected: bool) -> Result<(), RuntimeError> {
         use polm2_heap::VerifyMode;
-        let run = match self.config.heap.verify {
+        let run = match self.config.verify_heap {
             VerifyMode::Off => false,
             VerifyMode::Gc => collected,
             VerifyMode::Full => true,

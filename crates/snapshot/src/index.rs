@@ -1,5 +1,5 @@
-//! Columnar snapshot index: sorted hash columns, delta encoding, and the
-//! merged survival-count table the Analyzer replays against.
+//! Columnar snapshot index: delta-encoded hash columns and the merged
+//! survival-count table the Analyzer replays against.
 //!
 //! The paper's Analyzer counts, for every recorded object, the number of
 //! snapshots its identity hash appears in (§3.3). Probing one hash set per
@@ -7,12 +7,16 @@
 //! paid in full on every replay; the columnar form moves that work to
 //! capture time and turns it into sequential merges:
 //!
-//! 1. each snapshot's hashes are a **sorted column** ([`Snapshot::sorted_hashes`],
-//!    built once at capture time);
+//! 1. each capture arrives as a **sorted column** ([`Snapshot::sorted_hashes`],
+//!    streamed off the heap in order by the Dumper), and its series keeps
+//!    that full column only until the next capture supersedes it
+//!    ([`SnapshotSeries::newest_column`]);
 //! 2. every column is stored **delta encoded** — the sorted `added`/`removed`
 //!    sets vs. the previous column (the first column's delta against the
 //!    empty heap is the column itself). Heaps mutate far less than they
-//!    retain between GC cycles, so the delta is usually tiny;
+//!    retain between GC cycles, so the delta is usually tiny, and the deltas
+//!    are the only record of superseded columns: applied in order from the
+//!    empty heap they rebuild every column;
 //! 3. a **running accumulator** — one sorted `(hash, appearances)` table,
 //!    packed as `hash << 32 | count` — is merged with each new column as it
 //!    is pushed. This is the k-way merge of all columns, amortized across
@@ -31,9 +35,8 @@
 //! out.
 //!
 //! [`Snapshot::sorted_hashes`]: crate::Snapshot::sorted_hashes
+//! [`SnapshotSeries::newest_column`]: crate::SnapshotSeries::newest_column
 //! [`SnapshotSeries::push`]: crate::SnapshotSeries::push
-
-use crate::record::SnapshotSeries;
 
 /// One snapshot's hash column, delta encoded: the sorted hashes that appeared
 /// / disappeared relative to the previous snapshot's column.
@@ -50,14 +53,15 @@ struct Column {
     delta_won: bool,
 }
 
-/// A columnar index over a [`SnapshotSeries`].
+/// A columnar index over a [`SnapshotSeries`](crate::SnapshotSeries), which
+/// builds and owns it.
 ///
 /// # Examples
 ///
 /// ```
 /// use polm2_heap::{IdentityHash, ObjectId};
 /// use polm2_metrics::{SimDuration, SimTime};
-/// use polm2_snapshot::{Snapshot, SnapshotIndex, SnapshotSeries};
+/// use polm2_snapshot::{Snapshot, SnapshotSeries};
 ///
 /// let snap = |seq: u32, ids: &[u64]| {
 ///     Snapshot::new(
@@ -69,7 +73,7 @@ struct Column {
 ///     )
 /// };
 /// let series: SnapshotSeries = vec![snap(0, &[1, 2, 3]), snap(1, &[2, 3])].into_iter().collect();
-/// let counts = SnapshotIndex::build(&series).survival_counts();
+/// let counts = series.index().survival_counts();
 /// assert_eq!(counts.get(u64::from(IdentityHash::of(ObjectId::new(2)).raw())), 2);
 /// assert_eq!(counts.get(u64::from(IdentityHash::of(ObjectId::new(1)).raw())), 1);
 /// assert_eq!(counts.get(0xdead_beef), 0);
@@ -84,21 +88,6 @@ pub struct SnapshotIndex {
 }
 
 impl SnapshotIndex {
-    /// Builds the index from a complete snapshot series.
-    ///
-    /// [`SnapshotSeries`] maintains the same index incrementally
-    /// (see [`SnapshotSeries::index`]); this constructor exists for building
-    /// one from scratch, e.g. to time the build itself.
-    pub fn build(series: &SnapshotSeries) -> Self {
-        let mut index = SnapshotIndex::default();
-        let mut prev: &[u64] = &[];
-        for snapshot in series.snapshots() {
-            index.push_column(prev, snapshot.sorted_hashes());
-            prev = snapshot.sorted_hashes();
-        }
-        index
-    }
-
     /// Appends one snapshot's column: delta encodes it against the previous
     /// column (`prev` is empty for the first snapshot) and merges it into
     /// the survival accumulator. Both slices must be sorted, duplicate-free,
@@ -145,7 +134,11 @@ impl SnapshotIndex {
     /// delta is the column itself), or `None` past the last column. The
     /// journal's streaming serializer encodes snapshots straight from this —
     /// the diff already computed at [`SnapshotSeries::push`] time — instead
-    /// of re-diffing full columns.
+    /// of re-diffing full columns. The deltas are the only record of
+    /// superseded columns: applied in order from the empty heap they rebuild
+    /// every column of the series.
+    ///
+    /// [`SnapshotSeries::push`]: crate::SnapshotSeries::push
     pub fn delta(&self, i: usize) -> Option<(&[u64], &[u64])> {
         self.columns
             .get(i)
@@ -289,8 +282,7 @@ fn merge_accumulate(acc: &[u64], column: &[u64]) -> Vec<u64> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::record::Snapshot;
+    use crate::record::{Snapshot, SnapshotSeries};
     use polm2_heap::{IdentityHash, ObjectId};
     use polm2_metrics::{SimDuration, SimTime};
 
@@ -310,21 +302,26 @@ mod tests {
         u64::from(IdentityHash::of(ObjectId::new(id)).raw())
     }
 
+    /// The oracle: how many of `snaps` contain object `id`, one membership
+    /// probe per snapshot, never through a series or an index.
+    fn appearances(snaps: &[Snapshot], id: u64) -> u32 {
+        let hash = IdentityHash::of(ObjectId::new(id));
+        snaps.iter().filter(|s| s.contains(hash)).count() as u32
+    }
+
     #[test]
     fn counts_match_per_snapshot_probing() {
-        let series: SnapshotSeries = vec![
+        let snaps = vec![
             snap(0, &[1, 2, 3, 4]),
             snap(1, &[2, 3, 4]),
             snap(2, &[3, 4, 5]),
             snap(3, &[]),
             snap(4, &[5]),
-        ]
-        .into_iter()
-        .collect();
-        let counts = SnapshotIndex::build(&series).survival_counts();
+        ];
+        let series: SnapshotSeries = snaps.iter().cloned().collect();
+        let counts = series.index().survival_counts();
         for id in 0..8u64 {
-            let expected = series.appearances(IdentityHash::of(ObjectId::new(id))) as u32;
-            assert_eq!(counts.get(raw(id)), expected, "object {id}");
+            assert_eq!(counts.get(raw(id)), appearances(&snaps, id), "object {id}");
         }
     }
 
@@ -340,7 +337,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let counts = SnapshotIndex::build(&series).survival_counts();
+        let counts = series.index().survival_counts();
         assert_eq!(counts.get(raw(7)), 4);
     }
 
@@ -355,7 +352,7 @@ mod tests {
                 snap(s, &ids)
             })
             .collect();
-        let index = SnapshotIndex::build(&series);
+        let index = series.index();
         assert_eq!(index.len(), 10);
         assert_eq!(index.delta_columns(), 9);
         // Full first column (101) + 9 deltas of {1 added, 1 removed}.
@@ -370,7 +367,7 @@ mod tests {
         let series: SnapshotSeries = vec![snap(0, &[1, 2]), snap(1, &[3, 4])]
             .into_iter()
             .collect();
-        let index = SnapshotIndex::build(&series);
+        let index = series.index();
         assert_eq!(index.delta_columns(), 0, "a full rewrite beats its delta");
         let counts = index.survival_counts();
         assert_eq!(counts.len(), 4);
@@ -381,20 +378,47 @@ mod tests {
 
     #[test]
     fn series_maintains_the_index_incrementally() {
-        let series: SnapshotSeries = vec![snap(0, &[1, 2, 3]), snap(1, &[2, 3, 4]), snap(2, &[4])]
-            .into_iter()
-            .collect();
-        let incremental = series.index();
-        let rebuilt = SnapshotIndex::build(&series);
-        assert_eq!(incremental.len(), rebuilt.len());
-        assert_eq!(incremental.delta_columns(), rebuilt.delta_columns());
-        assert_eq!(incremental.stored_entries(), rebuilt.stored_entries());
-        assert_eq!(incremental.survival_counts(), rebuilt.survival_counts());
+        // Empty, repeated and disjoint columns among overlapping ones; the
+        // property test in tests/properties.rs rebuilds every column from
+        // the deltas over random sequences of the same kinds.
+        let snaps = [
+            snap(0, &[]),
+            snap(1, &[1, 2, 3]),
+            snap(2, &[1, 2, 3]),
+            snap(3, &[2, 3, 4]),
+            snap(4, &[10, 11]),
+            snap(5, &[]),
+            snap(6, &[4]),
+        ];
+        let mut series = SnapshotSeries::new();
+        for (i, s) in snaps.iter().enumerate() {
+            series.push(s.clone());
+            assert_eq!(series.newest_column(), s.sorted_hashes(), "after push {i}");
+        }
+        let index = series.index();
+        assert_eq!(index.len(), snaps.len());
+        assert_eq!(index.delta(1), Some((snaps[1].sorted_hashes(), &[][..])));
+        assert_eq!(index.delta(2), Some((&[][..], &[][..])), "a repeat is free");
+        assert_eq!(
+            index.delta(4),
+            Some((snaps[4].sorted_hashes(), snaps[3].sorted_hashes())),
+            "a disjoint column costs both sides"
+        );
+        assert_eq!(index.delta(5), Some((&[][..], snaps[4].sorted_hashes())));
+        assert!(index.delta(snaps.len()).is_none());
+        // Entries per delta: 0, 3, 0, 2, 5, 2, 1.
+        assert_eq!(index.stored_entries(), 13);
+        assert_eq!(
+            index.delta_columns(),
+            2,
+            "only the repeat and the one-in-one-out change win"
+        );
     }
 
     #[test]
     fn empty_series_yields_empty_counts() {
-        let index = SnapshotIndex::build(&SnapshotSeries::new());
+        let series = SnapshotSeries::new();
+        let index = series.index();
         assert!(index.is_empty());
         let counts = index.survival_counts();
         assert!(counts.is_empty());
@@ -409,14 +433,12 @@ mod tests {
         ids.extend((0..64u64).map(|i| 1 << (i % 40)));
         ids.sort_unstable();
         ids.dedup();
-        let series: SnapshotSeries = vec![snap(0, &ids), snap(1, &ids[..ids.len() / 2])]
-            .into_iter()
-            .collect();
-        let counts = SnapshotIndex::build(&series).survival_counts();
+        let snaps = vec![snap(0, &ids), snap(1, &ids[..ids.len() / 2])];
+        let series: SnapshotSeries = snaps.iter().cloned().collect();
+        let counts = series.index().survival_counts();
         let captured: std::collections::HashSet<u64> = ids.iter().map(|&id| raw(id)).collect();
         for &id in &ids {
-            let expected = series.appearances(IdentityHash::of(ObjectId::new(id))) as u32;
-            assert_eq!(counts.get(raw(id)), expected, "object {id}");
+            assert_eq!(counts.get(raw(id)), appearances(&snaps, id), "object {id}");
             assert_eq!(counts.get(raw(id) | 0xffff_ffff_0000_0000), 0);
             let perturbed = raw(id) ^ 0x5a5a_5a5a;
             if !captured.contains(&perturbed) {

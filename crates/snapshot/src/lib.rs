@@ -51,7 +51,7 @@ pub use journal::{
     crc32, Frame, FsMedia, FsckReport, JournalError, JournalMedia, JournalWriter, RecoveredJournal,
     SegmentDefect,
 };
-pub use record::{Snapshot, SnapshotSeries};
+pub use record::{Snapshot, SnapshotMeta, SnapshotSeries};
 
 use std::error::Error;
 use std::fmt;

@@ -14,6 +14,8 @@ use polm2_metrics::{SimDuration, SimTime};
 /// Dumper now streams directly off the heap (no per-snapshot hash set is
 /// materialized during the capture window). A hash-set view is rebuilt
 /// lazily on first use for the point-query consumers that still want one.
+/// A [`SnapshotSeries`] keeps the column only until the next capture
+/// supersedes it.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Sequence number within its series (0-based).
@@ -118,18 +120,37 @@ impl Snapshot {
     }
 }
 
+/// What a [`SnapshotSeries`] keeps of a capture: everything but its hash
+/// column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotMeta {
+    /// Sequence number within its series (0-based).
+    pub seq: u32,
+    /// When the capture happened.
+    pub at: SimTime,
+    /// Number of live objects captured.
+    pub live_objects: u64,
+    /// Bytes written by the capture.
+    pub size_bytes: u64,
+    /// How long the application was stopped for the capture.
+    pub capture_time: SimDuration,
+}
+
 /// A sequence of snapshots from one profiling run.
 ///
-/// Alongside the snapshots themselves the series maintains a
-/// [`SnapshotIndex`](crate::SnapshotIndex) incrementally: each
-/// [`push`](SnapshotSeries::push) delta-encodes the new snapshot's sorted
-/// column against its predecessor (forcing the lazy sort), so by the time
-/// the Analyzer replays, the columnar index already exists — Recorder
-/// bookkeeping work, off both the replay path and the capture window.
+/// The series keeps one full hash column: the newest capture's. Each
+/// [`push`](SnapshotSeries::push) diffs the incoming column against it,
+/// appends the delta and merges the column into the survival accumulator of
+/// the [`SnapshotIndex`](crate::SnapshotIndex), then keeps the incoming
+/// column as the new newest. Every older capture lives on only as its
+/// metadata and its delta: the journal encodes those, and the Analyzer reads
+/// the accumulator.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotSeries {
-    snapshots: Vec<Snapshot>,
+    metas: Vec<SnapshotMeta>,
     index: crate::SnapshotIndex,
+    /// The newest capture's column (empty before the first push).
+    newest: Vec<u64>,
 }
 
 impl SnapshotSeries {
@@ -138,16 +159,19 @@ impl SnapshotSeries {
         SnapshotSeries::default()
     }
 
-    /// Appends a snapshot, extending the columnar index with its delta
-    /// against the previous snapshot.
+    /// Appends a snapshot: indexes its delta against the newest column, then
+    /// keeps its column as the newest and drops the superseded one.
     pub fn push(&mut self, snapshot: Snapshot) {
-        let prev: &[u64] = self
-            .snapshots
-            .last()
-            .map(|s| s.sorted_hashes())
-            .unwrap_or(&[]);
-        self.index.push_column(prev, snapshot.sorted_hashes());
-        self.snapshots.push(snapshot);
+        let meta = SnapshotMeta {
+            seq: snapshot.seq,
+            at: snapshot.at,
+            live_objects: snapshot.live_objects,
+            size_bytes: snapshot.size_bytes,
+            capture_time: snapshot.capture_time,
+        };
+        self.index.push_column(&self.newest, &snapshot.sorted);
+        self.metas.push(meta);
+        self.newest = snapshot.sorted;
     }
 
     /// The columnar index over the series, maintained incrementally by
@@ -156,47 +180,44 @@ impl SnapshotSeries {
         &self.index
     }
 
-    /// The snapshots, capture order.
-    pub fn snapshots(&self) -> &[Snapshot] {
-        &self.snapshots
+    /// The newest capture's sorted hash column, the base the next capture's
+    /// delta applies to; empty before the first push.
+    pub fn newest_column(&self) -> &[u64] {
+        &self.newest
+    }
+
+    /// Per-capture metadata, capture order.
+    pub fn snapshots(&self) -> &[SnapshotMeta] {
+        &self.metas
     }
 
     /// Number of snapshots.
     pub fn len(&self) -> usize {
-        self.snapshots.len()
+        self.metas.len()
     }
 
     /// True if nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
+        self.metas.is_empty()
     }
 
     /// Total bytes across the series.
     pub fn total_size_bytes(&self) -> u64 {
-        self.snapshots.iter().map(|s| s.size_bytes).sum()
+        self.metas.iter().map(|s| s.size_bytes).sum()
     }
 
     /// Total stop time across the series.
     pub fn total_capture_time(&self) -> SimDuration {
-        self.snapshots.iter().map(|s| s.capture_time).sum()
+        self.metas.iter().map(|s| s.capture_time).sum()
     }
 
     /// Mean snapshot size (0 for an empty series).
     pub fn mean_size_bytes(&self) -> u64 {
-        if self.snapshots.is_empty() {
+        if self.metas.is_empty() {
             0
         } else {
-            self.total_size_bytes() / self.snapshots.len() as u64
+            self.total_size_bytes() / self.metas.len() as u64
         }
-    }
-
-    /// The number of snapshots in which each hash appears consecutively from
-    /// its first appearance is what the Analyzer derives; the series only
-    /// provides ordered access, via [`snapshots`](SnapshotSeries::snapshots).
-    ///
-    /// Convenience: how many snapshots contain `hash`.
-    pub fn appearances(&self, hash: IdentityHash) -> usize {
-        self.snapshots.iter().filter(|s| s.contains(hash)).count()
     }
 }
 
@@ -237,15 +258,34 @@ mod tests {
 
     #[test]
     fn series_accumulates_costs() {
-        let series: SnapshotSeries = vec![snap(0, &[1], 100, 5), snap(1, &[1, 2], 300, 10)]
-            .into_iter()
-            .collect();
+        let snaps = [snap(0, &[1], 100, 5), snap(1, &[1, 2], 300, 10)];
+        let series: SnapshotSeries = snaps.iter().cloned().collect();
         assert_eq!(series.len(), 2);
         assert_eq!(series.total_size_bytes(), 400);
         assert_eq!(series.mean_size_bytes(), 200);
         assert_eq!(series.total_capture_time(), SimDuration::from_millis(15));
-        assert_eq!(series.appearances(IdentityHash::of(ObjectId::new(1))), 2);
-        assert_eq!(series.appearances(IdentityHash::of(ObjectId::new(2))), 1);
+        assert_eq!(
+            series.snapshots()[1],
+            SnapshotMeta {
+                seq: 1,
+                at: SimTime::from_secs(1),
+                live_objects: 2,
+                size_bytes: 300,
+                capture_time: SimDuration::from_millis(10),
+            }
+        );
+        assert_eq!(series.newest_column(), snaps[1].sorted_hashes());
+        // Survival counts against a recount over the test's own snapshots.
+        let counts = series.index().survival_counts();
+        for id in [1u64, 2, 3] {
+            let hash = IdentityHash::of(ObjectId::new(id));
+            let appearances = snaps.iter().filter(|s| s.contains(hash)).count() as u32;
+            assert_eq!(
+                counts.get(u64::from(hash.raw())),
+                appearances,
+                "object {id}"
+            );
+        }
         assert!(!series.is_empty());
     }
 
@@ -253,6 +293,7 @@ mod tests {
     fn empty_series_defaults() {
         let series = SnapshotSeries::new();
         assert!(series.is_empty());
+        assert!(series.newest_column().is_empty());
         assert_eq!(series.mean_size_bytes(), 0);
         assert_eq!(series.total_size_bytes(), 0);
     }

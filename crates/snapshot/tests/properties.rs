@@ -1,10 +1,14 @@
 //! Property-based tests for the snapshot machinery.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
-use polm2_heap::{Heap, HeapConfig, ObjectId, SiteId};
-use polm2_metrics::SimTime;
-use polm2_snapshot::{CriuDumper, DumperOptions, HeapDumper, JmapDumper};
+use polm2_heap::{Heap, HeapConfig, IdentityHash, ObjectId, SiteId};
+use polm2_metrics::{SimDuration, SimTime};
+use polm2_snapshot::{
+    CriuDumper, DumperOptions, HeapDumper, JmapDumper, Snapshot, SnapshotMeta, SnapshotSeries,
+};
 
 /// Builds a heap with the given object sizes; every `keep_mask` bit decides
 /// rooting.
@@ -30,8 +34,110 @@ fn build_heap(sizes: &[u32], keep_mask: u64) -> (Heap, Vec<ObjectId>) {
     (heap, kept)
 }
 
+/// One capture of a random series: `kind` picks an empty column (0), a
+/// repeat of the previous capture (1), ids disjoint from every earlier
+/// capture (2), or ids from a small shared range that overlap earlier
+/// captures (3).
+fn capture(seq: u32, kind: u8, ids: &BTreeSet<u64>, prev: Option<&Snapshot>) -> Snapshot {
+    let hashes = match (kind, prev) {
+        (0, _) => Default::default(),
+        (1, Some(prev)) => prev.hashes().clone(),
+        (2, _) => ids
+            .iter()
+            .map(|&id| IdentityHash::of(ObjectId::new(1_000 * (u64::from(seq) + 1) + id)))
+            .collect(),
+        _ => ids
+            .iter()
+            .map(|&id| IdentityHash::of(ObjectId::new(id)))
+            .collect(),
+    };
+    Snapshot::new(
+        seq,
+        SimTime::from_secs(u64::from(seq)),
+        hashes,
+        64 * (u64::from(seq) + 1),
+        SimDuration::from_micros(10 + u64::from(seq)),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A series keeps one column, yet loses nothing the journal and the
+    /// Analyzer read: its deltas rebuild every pushed column, its newest
+    /// column is the last one pushed, its survival counts equal a recount
+    /// over the pushed snapshots, and its metadata sums hold.
+    #[test]
+    fn one_column_series_keeps_every_capture_recoverable(
+        plan in proptest::collection::vec(
+            (0u8..4, proptest::collection::btree_set(0u64..48, 0..24)),
+            0..12,
+        ),
+    ) {
+        let mut snaps: Vec<Snapshot> = Vec::new();
+        let mut series = SnapshotSeries::new();
+        for (kind, ids) in &plan {
+            let snap = capture(snaps.len() as u32, *kind, ids, snaps.last());
+            series.push(snap.clone());
+            prop_assert_eq!(series.newest_column(), snap.sorted_hashes());
+            snaps.push(snap);
+        }
+        prop_assert_eq!(series.len(), snaps.len());
+        prop_assert_eq!(
+            series.newest_column(),
+            snaps.last().map_or(&[][..], |s| s.sorted_hashes())
+        );
+
+        // Applied in order from the empty heap, the deltas rebuild every
+        // pushed column.
+        let index = series.index();
+        prop_assert!(index.delta(snaps.len()).is_none());
+        let mut column: BTreeSet<u64> = BTreeSet::new();
+        for (i, snap) in snaps.iter().enumerate() {
+            let (added, removed) = index.delta(i).expect("one delta per push");
+            for &h in added {
+                prop_assert!(column.insert(h), "delta {} re-adds {}", i, h);
+            }
+            for h in removed {
+                prop_assert!(column.remove(h), "delta {} removes absent {}", i, h);
+            }
+            prop_assert!(column.iter().copied().eq(snap.sorted_hashes().iter().copied()));
+        }
+
+        // Survival counts against a recount over the pushed snapshots.
+        let counts = index.survival_counts();
+        let seen: BTreeSet<u64> = snaps
+            .iter()
+            .flat_map(|s| s.sorted_hashes().iter().copied())
+            .collect();
+        prop_assert_eq!(counts.len(), seen.len());
+        for &h in &seen {
+            let hash = IdentityHash::from_raw(h as u32);
+            let appearances = snaps.iter().filter(|s| s.contains(hash)).count() as u32;
+            prop_assert_eq!(counts.get(h), appearances);
+        }
+
+        // Metadata, and the sums over it.
+        let metas: Vec<SnapshotMeta> = snaps
+            .iter()
+            .map(|s| SnapshotMeta {
+                seq: s.seq,
+                at: s.at,
+                live_objects: s.live_objects,
+                size_bytes: s.size_bytes,
+                capture_time: s.capture_time,
+            })
+            .collect();
+        prop_assert_eq!(series.snapshots(), &metas[..]);
+        prop_assert_eq!(
+            series.total_size_bytes(),
+            snaps.iter().map(|s| s.size_bytes).sum::<u64>()
+        );
+        prop_assert_eq!(
+            series.total_capture_time(),
+            snaps.iter().map(|s| s.capture_time).sum::<SimDuration>()
+        );
+    }
 
     /// Snapshot content is exactly the live set, for both dumpers.
     #[test]

@@ -273,7 +273,7 @@ fn parse_chaos_heap(args: &[String], runtime: &mut RuntimeConfig) -> Result<f64,
                 .into(),
         );
     }
-    if rate > 0.0 && runtime.heap.verify == VerifyMode::Off {
+    if rate > 0.0 && runtime.verify_heap == VerifyMode::Off {
         // A planted corruption must be *detected*, not silently executed
         // on: the chaos arm implies the strictest verification cadence.
         *runtime = runtime.with_verify_heap(VerifyMode::Full);
